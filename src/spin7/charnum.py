@@ -219,19 +219,16 @@ class GradedMonomialRing:
             coeffs = new
         return coeffs[k]
 
-    def hilbert_by_enumeration(self, k: int) -> int:
-        """Oracle: count monomials of weighted degree k with each exponent
-        at most e_i - 2, by direct enumeration."""
-        if k < 0:
-            return 0
-        exps = self.exponents
-        ranges = [range(0, min(e - 2, k // a if a else 0) + 1)
-                  for a, e in zip(self.weights, exps)]
-        count = 0
-        for combo in itertools.product(*ranges):
-            if sum(m * a for m, a in zip(combo, self.weights)) == k:
-                count += 1
-        return count
+    def hilbert_series_by_enumeration(self) -> list[int]:
+        """Oracle: the Hilbert function in degrees 0..socle+1, by
+        enumerating every monomial with each exponent at most e_i - 2 once
+        and counting the monomials of each weighted degree."""
+        counts = [0] * (self.socle_degree + 2)
+        steps = [range(0, (e - 1) * a, a)
+                 for a, e in zip(self.weights, self.exponents)]
+        for combo in itertools.product(*steps):
+            counts[sum(combo)] += 1
+        return counts
 
 
 def steenbrink_hodge(weights: Sequence[int], degree: int) -> list[int]:

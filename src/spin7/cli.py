@@ -31,9 +31,9 @@ EXIT_INPUT = 2
 def _identity_suite(inject_sign_flip: bool = False):
     """Yield (name, passed) pairs for the exact identity suite."""
     from spin7 import splits
-    from spin7.forms import (Multivector, cayley_form, contract,
-                             cylinder_form, g2_split, hodge_star, inner,
-                             su4_forms, volume_form, wedge)
+    from spin7.forms import (Multivector, cayley_form, cylinder_form,
+                             g2_split, hodge_star, inner, su4_forms,
+                             volume_form, wedge)
 
     phi = cayley_form()
     if inject_sign_flip:

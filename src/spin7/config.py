@@ -94,10 +94,18 @@ def _require(condition: bool, message: str):
         raise SchemaError(message)
 
 
+def _is_int(value: Any) -> bool:
+    """JSON integers only: ``true``/``false`` are not the integers 1/0."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _bool(value: Any, where: str) -> bool:
+    _require(isinstance(value, bool), f"{where} must be true or false")
+    return value
+
+
 def _int_list(value: Any, where: str) -> tuple[int, ...]:
-    _require(isinstance(value, list)
-             and all(isinstance(x, int) and not isinstance(x, bool)
-                     for x in value),
+    _require(isinstance(value, list) and all(_is_int(x) for x in value),
              f"{where} must be a list of integers")
     return tuple(value)
 
@@ -129,7 +137,8 @@ def load_config(text: str) -> Configuration:
     vexp_raw = variety.get("exponents")
     vexp = (None if vexp_raw is None
             else _int_list(vexp_raw, "variety.exponents"))
-    certified = bool(variety.get("certified_quasismooth", False))
+    certified = _bool(variety.get("certified_quasismooth", False),
+                      "variety.certified_quasismooth")
 
     divisor = doc["divisor"]
     _require(isinstance(divisor, dict), "divisor must be an object")
@@ -137,7 +146,7 @@ def load_config(text: str) -> Configuration:
     _require(len(ddeg) > len(vdeg) and ddeg[:len(vdeg)] == vdeg,
              "divisor.degrees must extend variety.degrees by the cut of D")
     h11 = divisor.get("h11", 1)
-    _require(isinstance(h11, int) and h11 >= 1, "divisor.h11 must be >= 1")
+    _require(_is_int(h11) and h11 >= 1, "divisor.h11 must be >= 1")
 
     sigma_docs = doc["sigma"]
     _require(isinstance(sigma_docs, list) and sigma_docs,
@@ -149,7 +158,7 @@ def load_config(text: str) -> Configuration:
                      if "weights" in s else weights)
         s_degrees = _int_list(s.get("degrees", []), f"sigma[{i}].degrees")
         mult = s.get("multiplicity", 1)
-        _require(isinstance(mult, int) and mult >= 1,
+        _require(_is_int(mult) and mult >= 1,
                  f"sigma[{i}].multiplicity must be a positive integer")
         _require(len(s_weights) - 1 - len(s_degrees) == 2,
                  f"sigma[{i}] must describe a surface")
@@ -189,10 +198,12 @@ def load_config(text: str) -> Configuration:
                 raise SchemaError(str(exc)) from None
         polys.append((p["name"], wps.parse_polynomial(entries)))
 
+    simply_connected = _bool(doc.get("assume_simply_connected", True),
+                             "assume_simply_connected")
     overrides = doc.get("overrides", {})
     _require(isinstance(overrides, dict)
              and set(overrides) <= {"chi_V", "h31_V"}
-             and all(isinstance(v, int) for v in overrides.values()),
+             and all(_is_int(v) for v in overrides.values()),
              "overrides may set integers chi_V and h31_V only")
 
     try:
@@ -207,8 +218,7 @@ def load_config(text: str) -> Configuration:
             sigma=tuple(sigma),
             involution=involution,
             polynomials=tuple(polys),
-            assume_simply_connected=bool(
-                doc.get("assume_simply_connected", True)),
+            assume_simply_connected=simply_connected,
             overrides=dict(overrides),
         )
         config.variety_datum()  # validates weights/degrees/exponents

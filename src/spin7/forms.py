@@ -44,18 +44,19 @@ def _indices_of(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _merge_sign(mask_a: int, mask_b: int) -> int:
+def merge_sign(mask_a: int, mask_b: int) -> int:
     """Sign of sorting the concatenation dx_A ^ dx_B into increasing order.
 
     Counts transpositions: for each bit of ``mask_b``, the number of bits of
-    ``mask_a`` strictly above it.
+    ``mask_a`` strictly above it.  This is the only sign computation of the
+    exterior algebra; every other sign is a product of these.
     """
-    sign = 1
-    for i in _indices_of(mask_b):
-        higher = mask_a >> i  # bits of a strictly above index i
-        if bin(higher).count("1") % 2:
-            sign = -sign
-    return sign
+    swaps = 0
+    while mask_b:
+        low = mask_b & -mask_b
+        swaps += (mask_a & -(low << 1)).bit_count()  # bits of a above low
+        mask_b ^= low
+    return -1 if swaps & 1 else 1
 
 
 class Multivector:
@@ -126,9 +127,13 @@ class Multivector:
                 degree = len(idx)
             elif len(idx) != degree:
                 raise ValueError("mixed degrees")
-            sign, mask = _sort_sign(idx, dimension)
-            if sign == 0:
-                continue
+            if len(set(idx)) != len(idx):
+                continue  # a repeated index kills the term
+            sign, mask = 1, 0
+            for i in idx:
+                bit = _mask_of((i,), dimension)
+                sign *= merge_sign(mask, bit)
+                mask |= bit
             acc[mask] = acc.get(mask, Fraction(0)) + sign * Fraction(coeff)
         if degree is None:
             raise ValueError("no terms supplied; use Multivector.zero")
@@ -204,25 +209,6 @@ class Multivector:
         return self * (Fraction(1) / Fraction(scalar))
 
 
-def _sort_sign(indices: list[int], n: int) -> tuple[int, int]:
-    """Sign of sorting ``indices`` increasing, and the resulting mask.
-
-    Returns (0, 0) when an index repeats.
-    """
-    if len(set(indices)) != len(indices):
-        return 0, 0
-    sign = 1
-    idx = list(indices)
-    # insertion sort; counts transpositions exactly
-    for i in range(1, len(idx)):
-        j = i
-        while j > 0 and idx[j - 1] > idx[j]:
-            idx[j - 1], idx[j] = idx[j], idx[j - 1]
-            sign = -sign
-            j -= 1
-    return sign, _mask_of(idx, n)
-
-
 # ---------------------------------------------------------------------------
 # core operations
 # ---------------------------------------------------------------------------
@@ -240,7 +226,7 @@ def wedge(a: Multivector, b: Multivector) -> Multivector:
         for mb, cb in b.terms.items():
             if ma & mb:
                 continue
-            sign = _merge_sign(ma, mb)
+            sign = merge_sign(ma, mb)
             m = ma | mb
             acc[m] = acc.get(m, Fraction(0)) + sign * ca * cb
     return Multivector(n, degree, acc)
@@ -257,7 +243,7 @@ def hodge_star(a: Multivector) -> Multivector:
     acc: dict[int, Fraction] = {}
     for m, c in a.terms.items():
         comp = full ^ m
-        acc[comp] = _merge_sign(m, comp) * c
+        acc[comp] = merge_sign(m, comp) * c
     return Multivector(n, n - a.degree, acc)
 
 
@@ -281,10 +267,9 @@ def contract(v, a: Multivector) -> Multivector:
             bit = 1 << (k - 1)
             if not m & bit:
                 continue
-            below = bin(m & (bit - 1)).count("1")
-            sign = -1 if below % 2 else 1
             m2 = m ^ bit
-            acc[m2] = acc.get(m2, Fraction(0)) + sign * vk * c
+            acc[m2] = (acc.get(m2, Fraction(0))
+                       + merge_sign(bit, m2) * vk * c)
     return Multivector(n, a.degree - 1, acc)
 
 

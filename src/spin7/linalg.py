@@ -8,46 +8,13 @@ with exact pivoting is entirely adequate.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
 
 Matrix = list[list[Fraction]]
 Vector = list[Fraction]
 
 
-def make_matrix(rows: Sequence[Sequence]) -> Matrix:
-    return [[Fraction(x) for x in row] for row in rows]
-
-
 def zeros(nrows: int, ncols: int) -> Matrix:
     return [[Fraction(0)] * ncols for _ in range(nrows)]
-
-
-def identity(n: int) -> Matrix:
-    out = zeros(n, n)
-    for i in range(n):
-        out[i][i] = Fraction(1)
-    return out
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n, k, m = len(a), len(b), len(b[0])
-    out = zeros(n, m)
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for t in range(k):
-            c = ai[t]
-            if c:
-                bt = b[t]
-                for j in range(m):
-                    if bt[j]:
-                        oi[j] += c * bt[j]
-    return out
-
-
-def mat_vec(a: Matrix, v: Vector) -> Vector:
-    return [sum((ai[j] * v[j] for j in range(len(v)) if v[j]), Fraction(0))
-            for ai in a]
 
 
 def rref(matrix: Matrix) -> tuple[Matrix, list[int]]:
@@ -114,19 +81,3 @@ def solve(matrix: Matrix, rhs: Vector) -> Vector | None:
     for i, p in enumerate(pivots):
         x[p] = reduced[i][ncols]
     return x
-
-
-def gram_schmidt(vectors: list[Vector]) -> list[Vector]:
-    """Orthogonal (not normalized) basis of the span, exact."""
-    basis: list[Vector] = []
-    for v in vectors:
-        w = v[:]
-        for b in basis:
-            bb = sum(x * x for x in b)
-            vb = sum(x * y for x, y in zip(w, b))
-            if vb:
-                c = vb / bb
-                w = [x - c * y for x, y in zip(w, b)]
-        if any(w):
-            basis.append(w)
-    return basis

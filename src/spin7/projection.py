@@ -14,8 +14,8 @@ converted to floats once.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -49,7 +49,6 @@ def form_to_array(a: Multivector) -> np.ndarray:
 
 def array_to_form(v: np.ndarray) -> Multivector:
     """Inverse of :func:`form_to_array` (coefficients become exact floats)."""
-    from fractions import Fraction
     terms = {m: Fraction(float(c)) for m, c in zip(_MASKS, v) if c}
     return Multivector(8, 4, terms)
 
@@ -73,10 +72,6 @@ def apply_map(g: np.ndarray, v: np.ndarray) -> np.ndarray:
     return fourth_exterior_power(g) @ v
 
 
-def _exact_to_float_rows(vectors: list[list]) -> np.ndarray:
-    return np.array([[float(x) for x in row] for row in vectors])
-
-
 @lru_cache(maxsize=1)
 def _newton_data() -> dict:
     """Precomputed exact data around the Cayley form, as float arrays."""
@@ -95,7 +90,7 @@ def _newton_data() -> dict:
     columns = []
     for v in complement:
         A = [[v[i * 8 + j] for j in range(8)] for i in range(8)]
-        img = splits.infinitesimal_action(linalg.make_matrix(A), phi0)
+        img = splits.infinitesimal_action(A, phi0)
         columns.append([float(c) for c in splits.to_coords(img, masks)])
     D = np.array(columns).T  # 70 x 43
     Q, _ = np.linalg.qr(D)
@@ -105,8 +100,8 @@ def _newton_data() -> dict:
     projectors = {}
     for label in ("1", "7", "27", "35"):
         basis = split4.basis(label)
-        B = _exact_to_float_rows(
-            [[float(x) for x in splits.to_coords(b, masks)] for b in basis]).T
+        B = np.array([[float(x) for x in splits.to_coords(b, masks)]
+                      for b in basis]).T
         Qb, _ = np.linalg.qr(B)
         projectors[label] = Qb @ Qb.T
 

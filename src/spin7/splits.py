@@ -14,8 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from spin7.forms import (
-    Multivector, cayley_form, contract, g2_split, hodge_star, inner,
-    volume_form, wedge,
+    Multivector, contract, cylinder_form, hodge_star, inner, merge_sign, wedge,
 )
 from spin7 import linalg
 from spin7.linalg import Matrix, Vector
@@ -71,37 +70,21 @@ def infinitesimal_action(A: Matrix, form: Multivector) -> Multivector:
     n = form.dimension
     acc: dict[int, Fraction] = {}
     for mask, coeff in form.terms.items():
-        indices = [i + 1 for i in range(n) if mask & (1 << i)]
-        for pos, i in enumerate(indices):
-            for j in range(1, n + 1):
-                aij = A[i - 1][j - 1]
-                if not aij:
-                    continue
-                if j == i:
-                    acc[mask] = acc.get(mask, Fraction(0)) + coeff * aij
-                    continue
-                if mask & (1 << (j - 1)):
-                    continue  # repeated index kills the term
-                new_indices = indices[:pos] + [j] + indices[pos + 1:]
-                # sign of sorting: count how far j must move
-                sign = 1
-                k = pos
-                while k > 0 and new_indices[k - 1] > new_indices[k]:
-                    new_indices[k - 1], new_indices[k] = (
-                        new_indices[k], new_indices[k - 1])
-                    sign = -sign
-                    k -= 1
-                while (k < len(new_indices) - 1
-                       and new_indices[k] > new_indices[k + 1]):
-                    new_indices[k], new_indices[k + 1] = (
-                        new_indices[k + 1], new_indices[k])
-                    sign = -sign
-                    k += 1
-                new_mask = 0
-                for t in new_indices:
-                    new_mask |= 1 << (t - 1)
+        for i in range(n):
+            bit_i = 1 << i
+            if not mask & bit_i:
+                continue
+            # replacing dx_i by dx_j: move dx_i to the front, swap, sort back
+            rest = mask ^ bit_i
+            sign_i = merge_sign(bit_i, rest)
+            for j, aij in enumerate(A[i]):
+                bit_j = 1 << j
+                if not aij or rest & bit_j:
+                    continue  # a repeated index kills the term
+                new_mask = rest | bit_j
                 acc[new_mask] = (acc.get(new_mask, Fraction(0))
-                                 + sign * coeff * aij)
+                                 + sign_i * merge_sign(bit_j, rest)
+                                 * coeff * aij)
     return Multivector(n, form.degree, acc)
 
 
@@ -171,12 +154,28 @@ class TypeSplit:
         return out
 
 
-def _eigenspace(matrix: Matrix, eigenvalue: int,
-                masks: list[int], n: int, r: int) -> list[Multivector]:
-    shifted = [row[:] for row in matrix]
-    for i in range(len(shifted)):
-        shifted[i][i] -= eigenvalue
-    return [from_coords(v, masks, n, r) for v in linalg.nullspace(shifted)]
+def _eigenspaces(op, n: int, r: int,
+                 eigenvalues: tuple[int, ...]) -> list[list[Multivector]]:
+    """Exact eigenspaces of a linear map Lambda^r -> Lambda^r, one basis
+    per requested eigenvalue."""
+    masks = monomial_masks(n, r)
+    matrix = operator_matrix(op, n, r, r)
+    out = []
+    for eigenvalue in eigenvalues:
+        shifted = [row[:] for row in matrix]
+        for i in range(len(shifted)):
+            shifted[i][i] -= eigenvalue
+        out.append([from_coords(v, masks, n, r)
+                    for v in linalg.nullspace(shifted)])
+    return out
+
+
+def _complement(forms: list[Multivector]) -> list[Multivector]:
+    """Basis of the orthogonal complement of the span of equal-degree forms."""
+    n, r = forms[0].dimension, forms[0].degree
+    masks = monomial_masks(n, r)
+    rows = [to_coords(f, masks) for f in forms]
+    return [from_coords(v, masks, n, r) for v in linalg.nullspace(rows)]
 
 
 def two_form_split(phi: Multivector) -> TypeSplit:
@@ -186,10 +185,7 @@ def two_form_split(phi: Multivector) -> TypeSplit:
     """
     if phi.dimension != 8 or phi.degree != 4:
         raise ValueError("expected a 4-form on R^8")
-    masks = monomial_masks(8, 2)
-    L = operator_matrix(lambda a: hodge_star(wedge(phi, a)), 8, 2, 2)
-    e3 = _eigenspace(L, 3, masks, 8, 2)
-    em1 = _eigenspace(L, -1, masks, 8, 2)
+    e3, em1 = _eigenspaces(lambda a: hodge_star(wedge(phi, a)), 8, 2, (3, -1))
     if len(e3) != 7 or len(em1) != 21:
         raise AdmissibilityError(
             "form not admissible: the 2-form operator *(Phi ^ .) does not "
@@ -204,14 +200,12 @@ def three_form_split(phi: Multivector) -> TypeSplit:
     """
     if phi.dimension != 8 or phi.degree != 4:
         raise ValueError("expected a 4-form on R^8")
-    masks = monomial_masks(8, 3)
     contractions = [contract(i, phi) for i in range(1, 9)]
-    rows = [to_coords(c, masks) for c in contractions]
-    if linalg.rank(rows) != 8:
+    complement = _complement(contractions)
+    if len(complement) != 48:  # the contractions span 56 - 48 = 8 dimensions
         raise AdmissibilityError(
             "form not admissible: contractions v -| Phi do not span an "
             "8-dimensional space")
-    complement = [from_coords(v, masks, 8, 3) for v in linalg.nullspace(rows)]
     return TypeSplit(8, 3, phi,
                      (("8", tuple(contractions)), ("48", tuple(complement))))
 
@@ -232,12 +226,11 @@ def four_form_split(phi: Multivector) -> TypeSplit:
         raise AdmissibilityError(
             "form not admissible here: Phi must be self-dual for the "
             "Euclidean metric")
-    masks = monomial_masks(8, 4)
-    star = operator_matrix(hodge_star, 8, 4, 4)
-    anti = _eigenspace(star, -1, masks, 8, 4)
+    (anti,) = _eigenspaces(hodge_star, 8, 4, (-1,))
     if len(anti) != 35:
         raise AdmissibilityError("anti-self-dual block does not have rank 35")
 
+    masks = monomial_masks(8, 4)
     orbit_rows = [to_coords(infinitesimal_action(A, phi), masks)
                   for A in so_basis(8)]
     reduced, pivots = linalg.rref(orbit_rows)
@@ -251,10 +244,7 @@ def four_form_split(phi: Multivector) -> TypeSplit:
                 "form not admissible: so(8).Phi is not self-dual and "
                 "orthogonal to Phi")
 
-    rows = [to_coords(phi, masks)]
-    rows += [to_coords(b, masks) for b in block7]
-    rows += [to_coords(b, masks) for b in anti]
-    block27 = [from_coords(v, masks, 8, 4) for v in linalg.nullspace(rows)]
+    block27 = _complement([phi, *block7, *anti])
     if len(block27) != 27:
         raise AdmissibilityError("rank-27 complement has wrong dimension")
     return TypeSplit(8, 4, phi, (
@@ -277,19 +267,14 @@ def su4_two_form_refinement(omega: Multivector,
         raise ValueError("expected the Kaehler 2-form on R^8")
     if re_theta.dimension != 8 or re_theta.degree != 4:
         raise ValueError("expected the real part of the (4,0)-form")
-    masks = monomial_masks(8, 2)
-    L = operator_matrix(lambda a: hodge_star(wedge(a, re_theta)), 8, 2, 2)
-    plus = _eigenspace(L, 2, masks, 8, 2)
-    minus = _eigenspace(L, -2, masks, 8, 2)
+    plus, minus = _eigenspaces(lambda a: hodge_star(wedge(a, re_theta)),
+                               8, 2, (2, -2))
     if len(plus) != 6 or len(minus) != 6:
         raise AdmissibilityError(
             "eigenvalue structure violated: the +/-2 eigenspaces of "
             f"*(. ^ Re theta) have ranks ({len(plus)}, {len(minus)}), "
             "expected (6, 6)")
-    rows = [to_coords(omega, masks)]
-    rows += [to_coords(b, masks) for b in plus]
-    rows += [to_coords(b, masks) for b in minus]
-    rest = [from_coords(v, masks, 8, 2) for v in linalg.nullspace(rows)]
+    rest = _complement([omega, *plus, *minus])
     if len(rest) != 15:
         raise AdmissibilityError("rank-15 complement has wrong dimension")
     return TypeSplit(8, 2, wedge(omega, omega) * Fraction(1, 2) + re_theta, (
@@ -364,7 +349,6 @@ def cylinder_two_form_types(phi: Multivector) -> CylinderTypes:
     """
     if phi.dimension != 7 or phi.degree != 3:
         raise ValueError("expected a 3-form on R^7")
-    from spin7.forms import cylinder_form
     star_phi = hodge_star(phi)
 
     def hat(alpha7: Multivector) -> Multivector:
@@ -383,17 +367,17 @@ def cylinder_two_form_types(phi: Multivector) -> CylinderTypes:
     masks8 = monomial_masks(8, 2)
     rows7 = [to_coords(b, masks8) for b in split.basis("7")]
     rows21 = [to_coords(b, masks8) for b in split.basis("21")]
-    for w in seven:
-        if linalg.rank(rows7 + [to_coords(w, masks8)]) != 7:
-            raise AdmissibilityError(
-                "rank-7 parameterization leaves the eigenspace split")
-    if linalg.rank([to_coords(w, masks8) for w in seven]) != 7:
+    coords7 = [to_coords(w, masks8) for w in seven]
+    # the eigenspace bases are independent, so the parameterization stays
+    # inside a block exactly when stacking it on the basis keeps the rank
+    if linalg.rank(rows7 + coords7) != 7:
+        raise AdmissibilityError(
+            "rank-7 parameterization leaves the eigenspace split")
+    if linalg.rank(coords7) != 7:
         raise AdmissibilityError("rank-7 parameterization is degenerate")
-    rank21 = linalg.rank(rows21)
-    for w in twentyone:
-        if linalg.rank(rows21 + [to_coords(w, masks8)]) != rank21:
-            raise AdmissibilityError(
-                "rank-21 parameterization leaves the eigenspace split")
+    if linalg.rank(rows21 + [to_coords(w, masks8) for w in twentyone]) != 21:
+        raise AdmissibilityError(
+            "rank-21 parameterization leaves the eigenspace split")
 
     # the 1-form *( *phi ^ (v -| phi) ) must equal scale * v-flat
     scale = None

@@ -17,7 +17,8 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -594,7 +595,6 @@ class ScanCandidate:
     weights: tuple[int, ...]
     accepted: bool
     reasons: tuple[str, ...]
-    datum: CompleteIntersectionDatum | None = None
 
 
 def scan_admissible(max_weight: int, ambient_dim: int) -> list[ScanCandidate]:
@@ -640,7 +640,6 @@ def scan_admissible(max_weight: int, ambient_dim: int) -> list[ScanCandidate]:
             singular_support = set()
             for group in iso.points:
                 singular_support |= set(group.stratum.indices)
-            from collections import Counter
             counts = Counter(weights[i] for i in range(n1)
                              if i not in singular_support)
             odd = [w for w, c in counts.items() if c % 2]
@@ -648,9 +647,6 @@ def scan_admissible(max_weight: int, ambient_dim: int) -> list[ScanCandidate]:
                 reasons.append(
                     "no weight-pairing involution: odd number of "
                     f"non-singular coordinates of weight {odd}")
-        accepted = not reasons
-        results.append(ScanCandidate(
-            weights, accepted, tuple(reasons),
-            member if accepted else None))
+        results.append(ScanCandidate(weights, not reasons, tuple(reasons)))
     results.sort(key=lambda c: c.weights)
     return results

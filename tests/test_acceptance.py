@@ -207,9 +207,9 @@ def test_criterion_6_hilbert_oracle_equivalence(report):
             continue
         tuples += 1
         ring = GradedMonomialRing(weights, degree)
+        series = ring.hilbert_series_by_enumeration()
         for k in range(ring.socle_degree + 2):
-            assert ring.hilbert(k) == ring.hilbert_by_enumeration(k), \
-                (weights, degree, k)
+            assert ring.hilbert(k) == series[k], (weights, degree, k)
             comparisons += 1
     for weights, degree in (((1, 1, 1, 1, 4, 4), 8), ((1, 1, 1, 1, 1), 5)):
         ring = GradedMonomialRing(weights, degree)

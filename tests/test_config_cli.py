@@ -42,6 +42,25 @@ def test_load_dump_round_trip_is_canonical():
     (lambda d: d.__setitem__("overrides", {"b4": 1}), "overrides"),
     (lambda d: d["polynomials"][0]["terms"][0].__setitem__("coeff", "?"),
      "literal"),
+    # booleans must be JSON booleans, and JSON booleans are not integers
+    pytest.param(
+        lambda d: d.__setitem__("assume_simply_connected", "false"),
+        "assume_simply_connected must be true or false",
+        id="simply-connected-string-false"),
+    pytest.param(
+        lambda d: d.__setitem__("assume_simply_connected", "no"),
+        "assume_simply_connected must be true or false",
+        id="simply-connected-string-no"),
+    pytest.param(
+        lambda d: d["variety"].__setitem__("certified_quasismooth", "false"),
+        "certified_quasismooth must be true or false",
+        id="certified-string-false"),
+    pytest.param(lambda d: d["divisor"].__setitem__("h11", True),
+                 "h11", id="h11-true"),
+    pytest.param(lambda d: d["sigma"][0].__setitem__("multiplicity", True),
+                 "multiplicity", id="multiplicity-true"),
+    pytest.param(lambda d: d.__setitem__("overrides", {"chi_V": True}),
+                 "overrides", id="override-true"),
 ])
 def test_schema_violations(mutate, message):
     doc = json.loads((CONFIG_DIR / "m1.cfg").read_text())
@@ -150,6 +169,17 @@ def test_analyze_input_errors_exit_two(tmp_path):
     bad.write_text("{not json")
     code, _, err = run_cli("analyze", str(bad))
     assert code == cli.EXIT_INPUT and "schema error" in err
+
+
+def test_analyze_string_boolean_exits_two(tmp_path):
+    doc = json.loads((CONFIG_DIR / "m1.cfg").read_text())
+    doc["assume_simply_connected"] = "false"
+    path = tmp_path / "string_boolean.cfg"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli("analyze", str(path))
+    assert code == cli.EXIT_INPUT
+    assert "schema error" in err and "assume_simply_connected" in err
+    assert "holonomy" not in out
 
 
 def test_analyze_structured_format():

@@ -79,6 +79,28 @@ def test_contract_by_rational_vector_is_linear(a):
     assert contract(v, a) == expect
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=1, max_value=9).flatmap(
+           lambda n: st.tuples(st.just(n), st.lists(
+               st.integers(min_value=1, max_value=n),
+               min_size=1, max_size=n))),
+       st.fractions(min_value=-5, max_value=5, max_denominator=6))
+def test_from_terms_sign_is_the_wedge_of_one_forms(case, c):
+    # An unsorted (or repeated) index tuple means dx_{i1} ^ ... ^ dx_{ir}
+    # in the given order; from_terms folds the sorting sign into c.
+    n, indices = case
+    product = Multivector.monomial(n, [indices[0]])
+    for i in indices[1:]:
+        product = wedge(product, Multivector.monomial(n, [i]))
+    assert Multivector.from_terms(n, [(indices, c)]) == c * product
+    if len(set(indices)) == len(indices):
+        # independent reference: the parity of the inversions
+        inversions = sum(a > b for k, a in enumerate(indices)
+                         for b in indices[k + 1:])
+        assert product == (-1) ** inversions * Multivector.monomial(
+            n, sorted(indices))
+
+
 def test_wedge_above_top_degree_is_zero():
     a = Multivector.monomial(3, [1, 2])
     b = Multivector.monomial(3, [2, 3])

@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spin7 import splits
 from spin7.forms import (Multivector, cayley_form, contract, g2_phi,
@@ -129,6 +131,44 @@ def test_infinitesimal_action_is_a_derivation():
     rhs = (wedge(splits.infinitesimal_action(A, a), b)
            + wedge(a, splits.infinitesimal_action(A, b)))
     assert lhs == rhs
+
+
+rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+
+
+@st.composite
+def matrices_and_forms(draw):
+    n = draw(st.integers(min_value=4, max_value=8))
+    r = draw(st.integers(min_value=1, max_value=4))
+    if draw(st.booleans()):
+        A = [[draw(rationals) for _ in range(n)] for _ in range(n)]
+    else:  # an elementary matrix E_ij
+        i, j = (draw(st.integers(min_value=0, max_value=n - 1))
+                for _ in range(2))
+        A = [[Fraction(int((a, b) == (i, j))) for b in range(n)]
+             for a in range(n)]
+    terms = draw(st.lists(
+        st.tuples(st.sets(st.integers(min_value=1, max_value=n),
+                          min_size=r, max_size=r).map(sorted), rationals),
+        max_size=8))
+    form = (Multivector.from_terms(n, terms) if terms
+            else Multivector.zero(n, r))
+    return A, form
+
+
+@settings(max_examples=80, deadline=None)
+@given(matrices_and_forms())
+def test_infinitesimal_action_is_sum_of_wedged_contractions(case):
+    # dx_i -> sum_j A[i][j] dx_j acting as a derivation is
+    # sum_j dx_j ^ (A[:, j] -| form), with column j of A as the vector.
+    A, form = case
+    n = form.dimension
+    expect = Multivector.zero(n, form.degree)
+    for j in range(n):
+        column = [A[i][j] for i in range(n)]
+        expect = expect + wedge(Multivector.monomial(n, [j + 1]),
+                                contract(column, form))
+    assert splits.infinitesimal_action(A, form) == expect
 
 
 def test_cylinder_two_form_types():
