@@ -3,7 +3,8 @@
 
 A 4-form near the distinguished one splits uniquely as Phi + psi with Phi
 on the GL(8) orbit and psi in the rank-27 block at Phi.  The error of the
-first-order approximation decays quadratically in the perturbation size.
+first-order approximation decays quadratically in the perturbation size,
+and the residual history shows the linear contraction of the iteration.
 """
 
 import numpy as np
@@ -46,6 +47,15 @@ def main():
         print(f"  eps = {eps:g}: |F(eps eta)| = {n:.3e}")
     slope = np.polyfit(np.log(eps_grid), np.log(norms), 1)[0]
     print(f"  log-log slope = {slope:.3f}  (quadratic decay: ~2)")
+    print()
+
+    print("tangential residual per iteration: the tangent map stays at "
+          "the distinguished form,\nso each step contracts the residual "
+          "by a factor of order eps:")
+    for eps in eps_grid:
+        out = projection.theta_project(phi0 + eps * eta)
+        history = "  ".join(f"{r:.1e}" for r in out.residuals)
+        print(f"  eps = {eps:g}: {history}")
 
 
 if __name__ == "__main__":

@@ -127,11 +127,11 @@ class Multivector:
                 degree = len(idx)
             elif len(idx) != degree:
                 raise ValueError("mixed degrees")
-            if len(set(idx)) != len(idx):
+            bits = [_mask_of((i,), dimension) for i in idx]  # range check
+            if len(set(bits)) != len(bits):
                 continue  # a repeated index kills the term
             sign, mask = 1, 0
-            for i in idx:
-                bit = _mask_of((i,), dimension)
+            for bit in bits:
                 sign *= merge_sign(mask, bit)
                 mask |= bit
             acc[mask] = acc.get(mask, Fraction(0)) + sign * Fraction(coeff)

@@ -14,12 +14,13 @@ converted to floats once.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import expm
+from scipy.linalg import expm, solve_triangular
 
 from spin7 import linalg, splits
 from spin7.forms import Multivector, cayley_form
@@ -30,6 +31,17 @@ MAX_ITERATIONS = 50
 _MASKS = splits.monomial_masks(8, 4)
 _MASK_INDEX = {m: i for i, m in enumerate(_MASKS)}
 _QUADS = [tuple(i for i in range(8) if m & (1 << i)) for m in _MASKS]
+
+# Flat positions in the antisymmetric 8^4 tensor: entry (I permuted by
+# sigma) of each quadruple I holds sign(sigma) times coordinate I.
+_PERMS = list(itertools.permutations(range(4)))  # identity first
+_PERM_SIGNS = [float(Multivector.from_terms(4, [([k + 1 for k in p], 1)])
+                     .coefficient((1, 2, 3, 4))) for p in _PERMS]
+_FLAT = np.array(_QUADS)[:, _PERMS] @ 8 ** np.arange(3, -1, -1)  # 70 x 24
+_SCATTER_FLAT = _FLAT.ravel()
+_SCATTER_SIGN = np.tile(_PERM_SIGNS, len(_QUADS))
+_SCATTER_SOURCE = np.repeat(np.arange(len(_QUADS)), len(_PERMS))
+_GATHER_FLAT = _FLAT[:, 0]
 
 
 class ProjectionError(RuntimeError):
@@ -59,17 +71,25 @@ def fourth_exterior_power(g: np.ndarray) -> np.ndarray:
     With the convention dx_i -> sum_j g[i, j] dx_j on 1-forms, the entry
     at (row J, column I) is det g[I, J] (rows I, columns J of g).
     """
-    P = np.empty((70, 70))
-    for col, I in enumerate(_QUADS):
-        gI = g[list(I), :]
-        for row, J in enumerate(_QUADS):
-            P[row, col] = np.linalg.det(gI[:, list(J)])
-    return P
+    return apply_map(g, np.eye(70))
 
 
 def apply_map(g: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Push a 4-form coordinate vector through the linear map g."""
-    return fourth_exterior_power(g) @ v
+    """Push 4-form coordinates (a length-70 vector, or the columns of a
+    70 x k array) through the linear map g.
+
+    The coordinates are scattered into the antisymmetric 8^4 tensor, each
+    of its four slots is contracted with g, and the entries at increasing
+    index quadruples are gathered back; the 70 x 70 matrix of minors is
+    never formed.
+    """
+    cols = v.reshape(70, -1)
+    t = np.zeros((8 ** 4, cols.shape[1]))
+    t[_SCATTER_FLAT] = _SCATTER_SIGN[:, None] * cols[_SCATTER_SOURCE]
+    t = t.reshape(8, 8, 8, 8, -1)
+    for _ in range(4):  # each contraction moves the new slot to the end
+        t = np.tensordot(t, g, axes=(0, 0))
+    return t.reshape(-1, 8 ** 4)[:, _GATHER_FLAT].T.reshape(v.shape)
 
 
 @lru_cache(maxsize=1)
@@ -82,8 +102,7 @@ def _newton_data() -> dict:
                  for A in stab.basis]
     complement = linalg.nullspace(stab_rows)
     assert len(complement) == 43
-    W = [np.array([[float(v[i * 8 + j]) for j in range(8)]
-                   for i in range(8)]) for v in complement]
+    W = np.array(complement, dtype=float).reshape(43, 8, 8)
 
     masks = _MASKS
     # tangent directions of the orbit at phi0: columns L_W phi0
@@ -91,24 +110,24 @@ def _newton_data() -> dict:
     for v in complement:
         A = [[v[i * 8 + j] for j in range(8)] for i in range(8)]
         img = splits.infinitesimal_action(A, phi0)
-        columns.append([float(c) for c in splits.to_coords(img, masks)])
-    D = np.array(columns).T  # 70 x 43
-    Q, _ = np.linalg.qr(D)
+        columns.append(splits.to_coords(img, masks))
+    Q, R = np.linalg.qr(np.array(columns, dtype=float).T)  # D = QR, 70 x 43
     P_tan = Q @ Q.T
 
     split4 = splits.four_form_split(phi0)
     projectors = {}
     for label in ("1", "7", "27", "35"):
         basis = split4.basis(label)
-        B = np.array([[float(x) for x in splits.to_coords(b, masks)]
-                      for b in basis]).T
+        B = np.array([splits.to_coords(b, masks) for b in basis],
+                     dtype=float).T
         Qb, _ = np.linalg.qr(B)
         projectors[label] = Qb @ Qb.T
 
     return {
         "phi0": form_to_array(phi0),
         "W": W,
-        "D": D,
+        "Q": Q,
+        "R": R,
         "P_tan": P_tan,
         "projectors": projectors,
     }
@@ -128,6 +147,9 @@ class ProjectionOutcome:
     psi: np.ndarray
     iterations: int
     residual: float
+    # tangential residual before the first step and after each step:
+    # len(residuals) == iterations + 1 and residuals[-1] == residual
+    residuals: tuple[float, ...]
     gauge: np.ndarray  # 8 x 8 map carrying phi back to the Cayley form
 
     def tangency_error(self) -> float:
@@ -153,44 +175,46 @@ def theta_project(chi, tolerance: float = TOLERANCE,
                   max_iterations: int = MAX_ITERATIONS) -> ProjectionOutcome:
     """Split chi = Phi + psi with Phi admissible and psi of rank-27 type.
 
-    Newton iteration: maintain y = (Lambda^4 H) chi and update H by
-    exponentials of stabilizer-complement directions until the component
-    of y - Phi0 tangent to the orbit vanishes.  Then Phi is the image of
+    Newton iteration with the tangent fixed at Phi0 (the chord method):
+    maintain y = (Lambda^4 H) chi and update H by exponentials of
+    stabilizer-complement directions until the component of y - Phi0
+    tangent to the orbit vanishes.  Each step is the least-squares
+    solution of D m = -(tangent part), taken from the stored QR factor of
+    the 70 x 43 matrix D of orbit directions at Phi0.  Then Phi is the image of
     Phi0 under H^{-1} and psi = chi - Phi lies in the rank-27 block at
     Phi by equivariance of the type decomposition.
     """
     data = _newton_data()
     phi0 = data["phi0"]
-    W, D, P_tan = data["W"], data["D"], data["P_tan"]
+    W, Q, R, P_tan = data["W"], data["Q"], data["R"], data["P_tan"]
 
     chi_vec = _as_array(chi)
     H = np.eye(8)
-    y = chi_vec.copy()
-    iterations = 0
-    residual = float(np.linalg.norm(P_tan @ (y - phi0)))
-    while residual > tolerance or not np.isfinite(residual):
-        if not np.isfinite(residual):
+    t = P_tan @ (chi_vec - phi0)
+    residuals = [float(np.linalg.norm(t))]
+    while residuals[-1] > tolerance or not np.isfinite(residuals[-1]):
+        iterations = len(residuals) - 1
+        if not np.isfinite(residuals[-1]):
             raise ProjectionError(
                 f"iteration diverged after {iterations} step(s); the input "
                 "is outside the reachable neighbourhood of the orbit")
         if iterations >= max_iterations:
             raise ProjectionError(
                 f"no convergence after {max_iterations} iterations "
-                f"(tangential residual {residual:.3e}); the input is "
+                f"(tangential residual {residuals[-1]:.3e}); the input is "
                 "outside the reachable neighbourhood of the orbit")
-        t = P_tan @ (y - phi0)
-        m, *_ = np.linalg.lstsq(D, -t, rcond=None)
-        M = sum(mk * Wk for mk, Wk in zip(m, W))
-        H = H @ expm(M)
-        y = apply_map(H, chi_vec)
-        iterations += 1
-        residual = float(np.linalg.norm(P_tan @ (y - phi0)))
+        # least-squares solution of D m = -t, D = QR of full column rank
+        m = -solve_triangular(R, Q.T @ t)
+        H = H @ expm(np.tensordot(m, W, 1))
+        t = P_tan @ (apply_map(H, chi_vec) - phi0)
+        residuals.append(float(np.linalg.norm(t)))
 
     phi = apply_map(np.linalg.inv(H), phi0)
     psi = chi_vec - phi
     return ProjectionOutcome(chi=chi_vec, phi=phi, psi=psi,
-                             iterations=iterations, residual=residual,
-                             gauge=H)
+                             iterations=len(residuals) - 1,
+                             residual=residuals[-1],
+                             residuals=tuple(residuals), gauge=H)
 
 
 def nonlinear_remainder(psi, tolerance: float = TOLERANCE) -> np.ndarray:

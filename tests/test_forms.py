@@ -101,6 +101,13 @@ def test_from_terms_sign_is_the_wedge_of_one_forms(case, c):
             n, sorted(indices))
 
 
+@pytest.mark.parametrize("indices", [(1, 1, 9), (1, 2, 9), (0, 0, 1)])
+def test_from_terms_rejects_out_of_range_index_even_if_repeated(indices):
+    # the range check comes before a repeated index kills the term
+    with pytest.raises(ValueError, match="out of range"):
+        Multivector.from_terms(4, [(indices, 1)])
+
+
 def test_wedge_above_top_degree_is_zero():
     a = Multivector.monomial(3, [1, 2])
     b = Multivector.monomial(3, [2, 3])

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from spin7 import projection
+from spin7 import projection, splits
 from spin7.forms import cayley_form
 
 PHI0 = projection.form_to_array(cayley_form())
@@ -34,6 +34,43 @@ def test_fourth_exterior_power_functoriality():
     q, _ = np.linalg.qr(g)
     assert np.linalg.norm(projection.apply_map(q, top)) == pytest.approx(
         np.linalg.norm(top))
+
+
+def _minors(g):
+    """The definition of the induced map: entry (J, I) is det g[I, J]."""
+    quads = [[i for i in range(8) if m >> i & 1]
+             for m in splits.monomial_masks(8, 4)]
+    return np.array([[np.linalg.det(g[np.ix_(I, J)]) for I in quads]
+                     for J in quads])
+
+
+def test_fourth_exterior_power_is_the_matrix_of_minors():
+    rng = np.random.default_rng(RNG_SEED)
+    generic = rng.standard_normal((8, 8))
+    singular = rng.standard_normal((8, 8))
+    singular[7] = singular[0] - 2 * singular[3]  # rank 7
+    for g in (generic, singular):
+        ref = _minors(g)
+        err = np.abs(projection.fourth_exterior_power(g) - ref).max()
+        assert err <= 1e-12 * np.abs(ref).max()
+    # exact on maps that permute and negate the coordinates
+    signed_perm = np.diag([1., -1, 1, 1, -1, -1, 1, -1])[rng.permutation(8)]
+    for g in (np.eye(8), signed_perm):
+        assert np.array_equal(projection.fourth_exterior_power(g),
+                              _minors(g))
+    assert np.array_equal(projection.fourth_exterior_power(np.eye(8)),
+                          np.eye(70))
+
+
+def test_apply_map_acts_on_columns():
+    rng = np.random.default_rng(RNG_SEED)
+    g = rng.standard_normal((8, 8))
+    V = rng.standard_normal((70, 5))
+    columns = np.stack([projection.apply_map(g, V[:, k]) for k in range(5)],
+                       axis=1)
+    out = projection.apply_map(g, V)
+    assert out.shape == (70, 5)
+    assert np.allclose(out, columns, rtol=1e-14, atol=0)
 
 
 def test_type_projectors_are_orthogonal_resolution():
@@ -77,6 +114,23 @@ def test_projection_accepts_multivector_input():
     out = projection.theta_project(cayley_form())
     assert np.linalg.norm(out.psi) < 1e-12
     assert out.iterations == 0
+    assert out.residuals == (out.residual,)
+
+
+def test_residual_history_contracts_to_tolerance():
+    # chord method: each step shrinks the tangential residual by a factor
+    # of order eps, until it falls below the tolerance
+    rng = np.random.default_rng(RNG_SEED)
+    for _ in range(3):
+        eta = rng.standard_normal(70)
+        eta /= np.linalg.norm(eta)
+        out = projection.theta_project(PHI0 + 1e-2 * eta)
+        res = out.residuals
+        assert out.iterations >= 2
+        assert len(res) == out.iterations + 1
+        assert res[-1] == out.residual <= projection.TOLERANCE
+        assert all(r > projection.TOLERANCE for r in res[:-1])
+        assert all(b < 0.1 * a for a, b in zip(res, res[1:]))
 
 
 def test_nonlinear_remainder_is_quadratically_small():
