@@ -31,7 +31,7 @@ def main():
     print()
 
     rho = InvolutionDatum((1, 0, 3, 2, 4), (0, 2, 0, 2, 0))
-    check = wps.involution_check(ambient, rho, [octic(5)])
+    check = wps.involution_check(ambient, rho, [octic(5)], iso)
     print("involution swapping (z0 z1)(z2 z3) with phases (1,-1,1,-1,1):")
     print(f"  admissible: {check.ok}; fixed points on the orbifold: "
           f"{check.fixed_count} (the singular point itself)")

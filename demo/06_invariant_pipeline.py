@@ -20,10 +20,11 @@ def main():
     for name in ("m1", "m2", "m2_via_double_blowup"):
         cfg = config.load_config((CONFIG_DIR / f"{name}.cfg").read_text())
         result = config.analyze(cfg)
+        data = result.data
         print(f"=== {cfg.name} ===")
-        print(f"chi(V) = {result.chi_V.chi_top}, h31(V) = {result.h31_V}, "
-              f"chi(D) = {result.chi_D}, h21(D) = {result.h21_D}, "
-              f"k = {result.k}")
+        print(f"chi(V) = {data.chi_V}, h31(V) = {data.h31_V}, "
+              f"chi(D) = {data.chi_D}, h21(D) = {data.h21_D}, "
+              f"k = {data.k}")
         print(invariant_block(result.report))
         print()
 

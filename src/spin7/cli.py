@@ -187,21 +187,21 @@ def invariant_block(report) -> str:
 
 
 def render_analysis(result, fmt: str) -> str:
-    r = result.report
+    r, d = result.report, result.data
     if fmt == "structured":
         lines = [
             f"name = {result.config.name}",
             f"chi_orb_V = {result.chi_V.chi_orb}",
             f"chi_V = {result.chi_V.chi_top}",
-            f"h31_V = {result.h31_V}",
-            f"chi_D = {result.chi_D}",
-            f"h21_D = {result.h21_D}",
-            f"k = {result.k}",
+            f"h31_V = {d.h31_V}",
+            f"chi_D = {d.chi_D}",
+            f"h21_D = {d.h21_D}",
+            f"k = {d.k}",
         ]
-        for i, (chi, pg, mult) in enumerate(result.sigma_numbers):
-            lines.append(f"sigma{i}_chi = {chi}")
-            lines.append(f"sigma{i}_pg = {pg}")
-            lines.append(f"sigma{i}_multiplicity = {mult}")
+        for i, s in enumerate(d.sigma):
+            lines.append(f"sigma{i}_chi = {s.chi}")
+            lines.append(f"sigma{i}_pg = {s.p_g}")
+            lines.append(f"sigma{i}_multiplicity = {s.multiplicity}")
         lines += [
             f"b1_Y = {r.b1_Y}", f"b2_Y = {r.b2_Y}", f"b3_Y = {r.b3_Y}",
             f"b4_0 = {r.b4_0}", f"b4 = {r.b4}",
@@ -216,13 +216,13 @@ def render_analysis(result, fmt: str) -> str:
     lines.append("intermediate values:")
     lines.append(f"  chi_orb(V) = {result.chi_V.chi_orb}")
     lines.append(f"  chi(V) = {result.chi_V.chi_top}")
-    lines.append(f"  h31(V) = {result.h31_V}")
-    lines.append(f"  chi(D) = {result.chi_D}")
-    lines.append(f"  h21(D) = {result.h21_D}")
-    lines.append(f"  k = {result.k}")
-    for i, (chi, pg, mult) in enumerate(result.sigma_numbers):
-        lines.append(f"  sigma[{i}]: chi = {chi}, p_g = {pg}, "
-                     f"multiplicity = {mult}")
+    lines.append(f"  h31(V) = {d.h31_V}")
+    lines.append(f"  chi(D) = {d.chi_D}")
+    lines.append(f"  h21(D) = {d.h21_D}")
+    lines.append(f"  k = {d.k}")
+    for i, s in enumerate(d.sigma):
+        lines.append(f"  sigma[{i}]: chi = {s.chi}, p_g = {s.p_g}, "
+                     f"multiplicity = {s.multiplicity}")
     lines.append(invariant_block(r))
     return "\n".join(lines)
 

@@ -34,6 +34,27 @@ Configurations are JSON documents.  Schema (all coordinates 0-based):
 
 ``dump_config(load_config(text))`` is canonical and idempotent, giving a
 bit-exact round-trip of the schema.
+
+``analyze`` runs six admissibility checks in this order and records one
+``(name, note)`` entry per check in ``AnalysisResult.checks``.  The first
+failing check raises ``AdmissibilityFailure`` with its reasons, so every
+recorded note belongs to a check that held:
+
+1. ``well-formed (V)``: ``pass``;
+2. ``well-formed (D)``: ``pass``, or ``skipped: more than two
+   hypersurfaces``;
+3. ``quasismooth (V)``: ``pass`` (a diagonal member or the ambient
+   space), or ``certified externally`` (``certified_quasismooth`` or
+   ``--allow-uncertified``);
+4. ``isolated Z4 singularities``: ``pass``;
+5. ``involution``: ``pass``;
+6. ``anticanonical divisor degree``: ``pass``.
+
+Each applied override then adds an entry ``override chi_V`` or
+``override h31_V`` whose note reads ``<value> replaces computed <value>``.
+The ``skipped`` and ``certified externally`` notes are recorded, but a V
+with several equations or without diagonal exponents makes check 4 raise
+``wps.UnsupportedError``, so no returned result carries them yet.
 """
 
 from __future__ import annotations
@@ -110,6 +131,13 @@ def _int_list(value: Any, where: str) -> tuple[int, ...]:
     return tuple(value)
 
 
+def _positive_list(value: Any, where: str) -> tuple[int, ...]:
+    _require(isinstance(value, list) and all(_is_int(x) and x >= 1
+                                             for x in value),
+             f"{where} must be a list of positive integers")
+    return tuple(value)
+
+
 def load_config(text: str) -> Configuration:
     """Parse and validate a configuration document."""
     try:
@@ -142,7 +170,7 @@ def load_config(text: str) -> Configuration:
 
     divisor = doc["divisor"]
     _require(isinstance(divisor, dict), "divisor must be an object")
-    ddeg = _int_list(divisor.get("degrees", []), "divisor.degrees")
+    ddeg = _positive_list(divisor.get("degrees", []), "divisor.degrees")
     _require(len(ddeg) > len(vdeg) and ddeg[:len(vdeg)] == vdeg,
              "divisor.degrees must extend variety.degrees by the cut of D")
     h11 = divisor.get("h11", 1)
@@ -154,9 +182,10 @@ def load_config(text: str) -> Configuration:
     sigma = []
     for i, s in enumerate(sigma_docs):
         _require(isinstance(s, dict), f"sigma[{i}] must be an object")
-        s_weights = (_int_list(s["weights"], f"sigma[{i}].weights")
+        s_weights = (_positive_list(s["weights"], f"sigma[{i}].weights")
                      if "weights" in s else weights)
-        s_degrees = _int_list(s.get("degrees", []), f"sigma[{i}].degrees")
+        s_degrees = _positive_list(s.get("degrees", []),
+                                   f"sigma[{i}].degrees")
         mult = s.get("multiplicity", 1)
         _require(_is_int(mult) and mult >= 1,
                  f"sigma[{i}].multiplicity must be a positive integer")
@@ -190,6 +219,8 @@ def load_config(text: str) -> Configuration:
             exps = _int_list(t.get("exponents", []), "term exponents")
             _require(len(exps) == n1, "term exponents must cover all "
                      "coordinates")
+            _require(all(e >= 0 for e in exps),
+                     "term exponents must be nonnegative")
             coeff = t.get("coeff", "1")
             _require(isinstance(coeff, str), "term coeff must be a string")
             try:
@@ -276,12 +307,8 @@ class AnalysisResult:
 
     config: Configuration
     checks: tuple[tuple[str, str], ...]   # (check name, outcome note)
-    chi_V: charnum.ChiResult
-    h31_V: int
-    chi_D: int
-    h21_D: int
-    k: int
-    sigma_numbers: tuple[tuple[int, int, int], ...]  # (chi, p_g, mult)
+    chi_V: charnum.ChiResult               # as computed, before overrides
+    data: invariants.OrbifoldConfiguration
     report: invariants.InvariantReport
 
 
@@ -294,68 +321,54 @@ def analyze(config: Configuration,
     certificate or override permits skipping it.
     """
     checks: list[tuple[str, str]] = []
-    reasons: list[str] = []
+
+    def check(name: str, failures, note: str = "pass"):
+        failures = list(failures)
+        if failures:
+            raise AdmissibilityFailure(failures)
+        checks.append((name, note))
+
     variety = config.variety_datum()
     space = variety.space
 
-    ok, violations = wps.well_formed(variety)
-    checks.append(("well-formed (V)", "pass" if ok else "FAIL"))
-    if not ok:
-        reasons.extend(f"well-formedness: {v}" for v in violations)
-        raise AdmissibilityFailure(reasons)
+    check("well-formed (V)", (f"well-formedness: {v}"
+                              for v in wps.well_formed(variety)[1]))
 
     if len(config.divisor_degrees) <= 2:
         divisor = wps.CompleteIntersectionDatum(space,
                                                 config.divisor_degrees)
-        ok_d, violations_d = wps.well_formed(divisor)
-        checks.append(("well-formed (D)", "pass" if ok_d else "FAIL"))
-        if not ok_d:
-            reasons.extend(f"well-formedness of D: {v}"
-                           for v in violations_d)
-            raise AdmissibilityFailure(reasons)
+        check("well-formed (D)", (f"well-formedness of D: {v}"
+                                  for v in wps.well_formed(divisor)[1]))
     else:
-        checks.append(("well-formed (D)",
-                       "skipped: more than two hypersurfaces"))
+        check("well-formed (D)", (), "skipped: more than two hypersurfaces")
 
     if variety.degrees and variety.exponents is None:
         if not (variety.certified_quasismooth or allow_uncertified):
             raise wps.UnsupportedError(
                 "unsupported: general quasismoothness; supply diagonal "
                 "exponents, a certificate, or --allow-uncertified")
-        checks.append(("quasismooth (V)", "certified externally"))
+        check("quasismooth (V)", (), "certified externally")
     else:
         qs_ok, qs_note = wps.diagonal_quasismooth(variety)
-        checks.append(("quasismooth (V)", "pass" if qs_ok else "FAIL"))
-        if not qs_ok:
-            raise AdmissibilityFailure([f"quasismoothness: {qs_note}"])
+        check("quasismooth (V)",
+              () if qs_ok else [f"quasismoothness: {qs_note}"])
 
     iso = wps.isolated_z4_check(variety)
-    checks.append(("isolated Z4 singularities",
-                   "pass" if (iso.ok and iso.action_ok and iso.k >= 1)
-                   else "FAIL"))
-    if not iso.ok or not iso.action_ok:
-        reasons.extend(f"singularities: {r}" for r in iso.reasons)
-        raise AdmissibilityFailure(reasons or ["singularities: check failed"])
-    if iso.k < 1:
-        raise AdmissibilityFailure(
-            ["singularities: the singular locus is empty"])
+    empty = () if iso.k else ("the singular locus is empty",)
+    check("isolated Z4 singularities",
+          (f"singularities: {r}" for r in iso.reasons or empty))
 
-    inv_check = wps.involution_check(
+    involution = wps.involution_check(
         variety, config.involution,
-        [poly for _, poly in config.polynomials])
-    checks.append(("involution", "pass" if inv_check.ok else "FAIL"))
-    if not inv_check.ok:
-        reasons.extend(f"involution: {r}" for r in inv_check.reasons)
-        raise AdmissibilityFailure(reasons)
+        [poly for _, poly in config.polynomials], iso)
+    check("involution", (f"involution: {r}" for r in involution.reasons))
 
     anticanonical = wps.anticanonical_degree(variety)
     divisor_cut = sum(config.divisor_degrees) - sum(config.variety_degrees)
-    checks.append(("anticanonical divisor degree",
-                   "pass" if divisor_cut == anticanonical else "FAIL"))
-    if divisor_cut != anticanonical:
-        raise AdmissibilityFailure(
-            [f"divisor degree {divisor_cut} does not match the "
-             f"anticanonical degree {anticanonical}"])
+    check("anticanonical divisor degree",
+          [f"divisor degree {divisor_cut} does not match the "
+           f"anticanonical degree {anticanonical}"]
+          if divisor_cut != anticanonical else [])
 
     orders = []
     for group in iso.points:
@@ -363,50 +376,39 @@ def analyze(config: Configuration,
 
     chi_v = charnum.euler_characteristics(
         space.weights, config.variety_degrees, orders)
-    chi_v_val = config.overrides.get("chi_V", chi_v.chi_top)
-
     if config.variety_degrees:
-        assert variety.exponents is not None
         hodge_row = charnum.steenbrink_hodge(space.weights,
                                              config.variety_degrees[0])
         h31 = hodge_row[1]  # h^{n-2, 1} = h^{3,1} for a 4-fold
     else:
         h31 = 0  # the ambient space has rational cohomology generated
         # in degree 2, so no (3,1)-classes
-    h31 = config.overrides.get("h31_V", h31)
+    computed = {"chi_V": chi_v.chi_top, "h31_V": h31}
+    for key, value in config.overrides.items():
+        check(f"override {key}", (),
+              f"{value} replaces computed {computed[key]}")
+    computed.update(config.overrides)
 
     chi_d = charnum.euler_characteristics(
         space.weights, config.divisor_degrees).chi_top
-    h21_d = charnum.cy3_hodge_from_chi(chi_d, config.divisor_h11)
-
-    sigma_numbers = []
+    sigma = []
     for s in config.sigma:
         chi_s, _, pg_s = charnum.noether_pg(s.weights, s.degrees)
-        sigma_numbers.append((chi_s, pg_s, s.multiplicity))
+        sigma.append(invariants.SigmaComponent(chi_s, pg_s, s.multiplicity))
 
-    cfg = invariants.OrbifoldConfiguration(
-        chi_V=chi_v_val,
-        h31_V=h31,
+    data = invariants.OrbifoldConfiguration(
+        chi_V=computed["chi_V"],
+        h31_V=computed["h31_V"],
         chi_D=chi_d,
-        h21_D=h21_d,
+        h21_D=charnum.cy3_hodge_from_chi(chi_d, config.divisor_h11),
         k=iso.k,
         orders=tuple(orders),
-        sigma=tuple(invariants.SigmaComponent(c, p, m)
-                    for c, p, m in sigma_numbers),
+        sigma=tuple(sigma),
         simply_connected=config.assume_simply_connected,
     )
     try:
-        report = invariants.compute_report(cfg)
+        report = invariants.compute_report(data)
     except ValueError as exc:
         raise AdmissibilityFailure([str(exc)]) from None
-    return AnalysisResult(
-        config=config,
-        checks=tuple(checks),
-        chi_V=chi_v,
-        h31_V=h31,
-        chi_D=chi_d,
-        h21_D=h21_d,
-        k=iso.k,
-        sigma_numbers=tuple(sigma_numbers),
-        report=report,
-    )
+    return AnalysisResult(config=config, checks=tuple(checks), chi_V=chi_v,
+                          data=data, report=report)

@@ -137,36 +137,9 @@ def holonomy_verdict(b0_Y: int, b1_Y: int, simply_connected: bool,
         b1_Y, "undetermined")
 
 
-def bounded_harmonic_dim(br: int, brc: int, br0: int) -> int:
-    """Dimension of the space of bounded harmonic r-forms:
-    b^r(M) + b^r_c(M) - b^r_0(M)."""
-    if min(br, brc, br0) < 0 or br0 > min(br, brc):
-        raise ValueError("need 0 <= br0 <= min(br, brc)")
-    return br + brc - br0
-
-
-def surface_anti_invariant_b2(chi: int) -> int:
-    """b^2(Sigma)^{-rho} = chi(Sigma)/2 for a free antiholomorphic
-    involution on a surface with b1 = 0."""
-    if chi % 2:
-        raise ValueError("chi(Sigma) must be even for a free involution")
-    return chi // 2
-
-
-def blowup_betti_step(betti: list[int],
-                      sigma_betti: list[int]) -> list[int]:
-    """One blow-up along a surface: b^j gains b^{j-2} of the surface."""
-    out = list(betti)
-    for j in range(len(out)):
-        if 0 <= j - 2 < len(sigma_betti):
-            out[j] += sigma_betti[j - 2]
-    return out
-
-
-def compute_report(cfg: OrbifoldConfiguration,
-                   single_end: bool = True) -> InvariantReport:
+def compute_report(cfg: OrbifoldConfiguration) -> InvariantReport:
     """Run the full pipeline and package the result with its invariants
-    enforced."""
+    enforced.  The construction has a single cylindrical end."""
     b1_y, b2_y, b3_y = cross_section_betti(cfg)
     b4_0, b4 = betti_pipeline(cfg)
     b4_plus, b4_minus = signature_pipeline(cfg)
@@ -175,6 +148,5 @@ def compute_report(cfg: OrbifoldConfiguration,
         b_low_M=(0, 0, 0),
         b4=b4, b4_0=b4_0, b4_plus=b4_plus, b4_minus=b4_minus,
         moduli_dimension=moduli_dimension(b4, b4_plus, 0, b1_y),
-        holonomy=holonomy_verdict(1, b1_y, cfg.simply_connected,
-                                  single_end),
+        holonomy=holonomy_verdict(1, b1_y, cfg.simply_connected, True),
     )

@@ -233,19 +233,3 @@ def nonlinear_remainder(psi, tolerance: float = TOLERANCE) -> np.ndarray:
     tangent_part = (pr["1"] + pr["7"] + pr["35"]) @ psi_vec
     return phi0 + tangent_part - outcome.phi
 
-
-def quadratic_estimate_probe(psi1, psi2,
-                             tolerance: float = TOLERANCE) -> float:
-    """|F(psi1) - F(psi2)| / (|psi1 - psi2| (|psi1| + |psi2|)).
-
-    Empirically exhibits the Lipschitz-quadratic bound of the projection;
-    returns 0 by convention when the denominator vanishes.
-    """
-    v1, v2 = _as_array(psi1), _as_array(psi2)
-    denom = np.linalg.norm(v1 - v2) * (np.linalg.norm(v1)
-                                       + np.linalg.norm(v2))
-    if denom == 0:
-        return 0.0
-    f1 = nonlinear_remainder(v1, tolerance=tolerance)
-    f2 = nonlinear_remainder(v2, tolerance=tolerance)
-    return float(np.linalg.norm(f1 - f2) / denom)

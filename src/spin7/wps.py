@@ -276,15 +276,6 @@ def anticanonical_degree(ci: CompleteIntersectionDatum) -> int:
     return sum(ci.space.weights) - sum(ci.degrees)
 
 
-def linear_cone_detect(ci: CompleteIntersectionDatum) -> list[int]:
-    """Indices i with a_i equal to the hypersurface degree (the defining
-    polynomial may contain the bare coordinate z_i)."""
-    if len(ci.degrees) != 1:
-        raise ValueError("linear-cone detection applies to one hypersurface")
-    d = ci.degrees[0]
-    return [i for i, a in enumerate(ci.space.weights) if a == d]
-
-
 def diagonal_quasismooth(ci: CompleteIntersectionDatum
                          ) -> tuple[bool, str]:
     """Certify quasismoothness of a diagonal member (or the ambient space).
@@ -472,27 +463,25 @@ def _polynomial_preserved(poly: Polynomial,
 
 def involution_check(ci: CompleteIntersectionDatum,
                      inv: InvolutionDatum,
-                     polynomials: list[Polynomial]) -> InvolutionCheck:
+                     polynomials: list[Polynomial],
+                     singular: IsolatedCheck) -> InvolutionCheck:
     """Verify the involution requirements of an admissible configuration.
 
     Checks: weight compatibility and projective involutivity; each
     supplied polynomial (defining equations and divisor cuts) maps to a
     scalar multiple of its own conjugate; and the fixed locus on the
-    variety equals the isolated singular set.  The fixed-locus analysis
-    is implemented for the coordinate-pairing shape of the maps used
-    here; other shapes raise ``UnsupportedError``.
+    variety equals the isolated singular set ``singular``, the result of
+    ``isolated_z4_check(ci)``.  The fixed-locus analysis is implemented
+    for the coordinate-pairing shape of the maps used here; other shapes
+    raise ``UnsupportedError``.
     """
     sigma = inv.permutation
     a = ci.space.weights
-    reasons: list[str] = []
     if len(sigma) != len(a):
         raise ValueError("involution size does not match the space")
-    for i in range(len(a)):
-        if sigma[sigma[i]] != i:
-            reasons.append(f"permutation is not an involution at index {i}")
-        if a[sigma[i]] != a[i]:
-            reasons.append(f"weights differ along the permutation: "
-                           f"a[{i}]={a[i]}, a[{sigma[i]}]={a[sigma[i]]}")
+    reasons = [f"weights differ along the permutation: "
+               f"a[{i}]={a[i]}, a[{sigma[i]}]={a[sigma[i]]}"
+               for i in range(len(a)) if a[sigma[i]] != a[i]]
     if reasons:
         return InvolutionCheck(False, 0, tuple(reasons))
     if _projective_involution_unit(ci.space, inv) is None:
@@ -519,7 +508,6 @@ def involution_check(ci: CompleteIntersectionDatum,
                 free.add(j)
     support = [i for i in range(len(a)) if i not in free]
 
-    singular = isolated_z4_check(ci)
     for group in singular.points:
         if not set(group.stratum.indices) <= set(support):
             reasons.append(
@@ -631,11 +619,7 @@ def scan_admissible(max_weight: int, ambient_dim: int) -> list[ScanCandidate]:
         iso = isolated_z4_check(ambient)
         if iso.k == 0:
             reasons.append("singular locus is empty")
-        if not iso.ok:
-            reasons.extend(iso.reasons or ("singular locus not isolated",))
-        elif not iso.action_ok:
-            reasons.extend(iso.reasons or ("local action is not the "
-                                           "scalar Z4 model",))
+        reasons.extend(iso.reasons)  # empty when isolated with Z4 action
         if iso.ok and iso.k:
             singular_support = set()
             for group in iso.points:

@@ -7,7 +7,7 @@ import pathlib
 
 import pytest
 
-from spin7 import cli, config
+from spin7 import cli, config, invariants
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
@@ -61,6 +61,21 @@ def test_load_dump_round_trip_is_canonical():
                  "multiplicity", id="multiplicity-true"),
     pytest.param(lambda d: d.__setitem__("overrides", {"chi_V": True}),
                  "overrides", id="override-true"),
+    # out-of-range numbers are schema errors, not crashes or late failures
+    pytest.param(lambda d: d["sigma"][0].__setitem__("weights",
+                                                     [1, 1, 1, 1, 0]),
+                 "sigma\\[0\\].weights must be a list of positive",
+                 id="sigma-weight-zero"),
+    pytest.param(lambda d: d["sigma"][0].__setitem__("degrees", [8, -8]),
+                 "sigma\\[0\\].degrees must be a list of positive",
+                 id="sigma-degree-negative"),
+    pytest.param(lambda d: d["divisor"].__setitem__("degrees", [0]),
+                 "divisor.degrees must be a list of positive",
+                 id="divisor-degree-zero"),
+    pytest.param(lambda d: d["polynomials"][0]["terms"].append(
+                     {"exponents": [0, 0, 0, 0, -3], "coeff": "1"}),
+                 "term exponents must be nonnegative",
+                 id="term-exponent-negative"),
 ])
 def test_schema_violations(mutate, message):
     doc = json.loads((CONFIG_DIR / "m1.cfg").read_text())
@@ -77,12 +92,13 @@ def test_not_json_is_a_schema_error():
 def test_analyze_the_first_configuration():
     cfg = config.load_config((CONFIG_DIR / "m1.cfg").read_text())
     result = config.analyze(cfg)
-    assert result.chi_V.chi_top == 5
-    assert result.h31_V == 0
-    assert result.chi_D == -296
-    assert result.h21_D == 149
-    assert result.k == 1
-    assert result.sigma_numbers == ((1376, 199, 1),)
+    data = result.data
+    assert result.chi_V.chi_top == data.chi_V == 5
+    assert data.h31_V == 0
+    assert data.chi_D == -296
+    assert data.h21_D == 149
+    assert data.k == 1
+    assert data.sigma == (invariants.SigmaComponent(1376, 199, 1),)
     assert result.report.b4 == 839
 
 
@@ -160,6 +176,53 @@ def test_analyze_rejects_inadmissible_configurations(name, needle):
     code, out, err = run_cli("analyze", str(CONFIG_DIR / f"{name}.cfg"))
     assert code == cli.EXIT_MATH
     assert needle in err or needle in out
+
+
+def _m1_mutation(mutate, tmp_path):
+    doc = json.loads((CONFIG_DIR / "m1.cfg").read_text())
+    mutate(doc)
+    path = tmp_path / "m1_mutated.cfg"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _with_weights_and_divisor(weights, degrees):
+    def mutate(doc):
+        doc["ambient_weights"] = weights
+        doc["divisor"]["degrees"] = degrees
+    return mutate
+
+
+@pytest.mark.parametrize("mutate,reason", [
+    pytest.param(lambda d: d["divisor"].__setitem__("degrees", [6]),
+                 "divisor degree 6 does not match the anticanonical "
+                 "degree 8", id="anticanonical-mismatch"),
+    pytest.param(lambda d: d["involution"].__setitem__(
+                     "phase_powers", [0, 1, 0, 2, 0]),
+                 "involution: map squared is not a projective identity",
+                 id="not-projectively-involutive"),
+    pytest.param(_with_weights_and_divisor([1, 1, 1, 1, 1], [5]),
+                 "singularities: the singular locus is empty",
+                 id="empty-singular-locus"),
+    pytest.param(lambda d: d.__setitem__("overrides", {"h31_V": 1000}),
+                 "b4_- = 1200 exceeds b4_0 = 688; configuration data is "
+                 "inconsistent", id="b4-minus-exceeds-b4-0"),
+])
+def test_analyze_rejection_paths(mutate, reason, tmp_path):
+    code, out, err = run_cli("analyze", _m1_mutation(mutate, tmp_path))
+    assert code == cli.EXIT_MATH
+    assert out == ""
+    assert err == f"configuration rejected (m1):\n  {reason}\n"
+
+
+def test_analyze_reports_an_applied_override(tmp_path):
+    path = _m1_mutation(lambda d: d.__setitem__("overrides", {"chi_V": 7}),
+                        tmp_path)
+    code, out, err = run_cli("analyze", path)
+    assert code == cli.EXIT_OK, err
+    assert "b4(M) = 840" in out
+    checks = out[out.index("checks:"):out.index("intermediate values:")]
+    assert checks.splitlines()[-1] == "  override chi_V: 7 replaces computed 5"
 
 
 def test_analyze_input_errors_exit_two(tmp_path):

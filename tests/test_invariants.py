@@ -4,10 +4,8 @@ import pytest
 
 from spin7 import invariants
 from spin7.invariants import (InvariantReport, OrbifoldConfiguration,
-                              SigmaComponent, blowup_betti_step,
-                              bounded_harmonic_dim, compute_report,
-                              holonomy_verdict, moduli_dimension,
-                              surface_anti_invariant_b2)
+                              SigmaComponent, compute_report,
+                              holonomy_verdict, moduli_dimension)
 
 
 CFG_1 = OrbifoldConfiguration(
@@ -103,25 +101,6 @@ def test_holonomy_verdict():
     assert holonomy_verdict(2, 0, True, True) == "undetermined"
     assert holonomy_verdict(1, 0, False, True) == "undetermined"
     assert holonomy_verdict(1, 0, True, False) == "undetermined"
-
-
-def test_bounded_harmonic_dim():
-    assert bounded_harmonic_dim(839, 839, 688) == 990
-    with pytest.raises(ValueError):
-        bounded_harmonic_dim(3, 3, 4)
-
-
-def test_surface_anti_invariant_b2():
-    assert surface_anti_invariant_b2(1376) == 688
-    assert surface_anti_invariant_b2(304) == 152
-    with pytest.raises(ValueError):
-        surface_anti_invariant_b2(305)
-
-
-def test_blowup_betti_step():
-    # Blowing up a point adds a 2-class; along a surface adds b^{j-2}.
-    assert blowup_betti_step([1, 0, 0, 0, 2], [1, 0, 2]) == [1, 0, 1, 0, 4]
-    assert blowup_betti_step([1, 0, 1], []) == [1, 0, 1]
 
 
 def test_betti_and_signature_pipelines_directly():

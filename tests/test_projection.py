@@ -145,14 +145,15 @@ def test_nonlinear_remainder_is_quadratically_small():
         slope = np.polyfit(np.log(eps_grid), np.log(norms), 1)[0]
         slopes.append(slope)
     assert all(s >= 1.9 for s in slopes)
-
-
-def test_quadratic_estimate_probe_is_bounded():
+    # Lipschitz-quadratic bound near the fiber:
+    # |F(a) - F(b)| < 10 |a - b| (|a| + |b|)
     rng = np.random.default_rng(RNG_SEED)
     eta1 = rng.standard_normal(70) * 1e-3
     eta2 = rng.standard_normal(70) * 1e-3
-    assert projection.quadratic_estimate_probe(eta1, eta2) < 10.0
-    assert projection.quadratic_estimate_probe(eta1, eta1) == 0.0
+    gap = np.linalg.norm(projection.nonlinear_remainder(eta1)
+                         - projection.nonlinear_remainder(eta2))
+    assert gap < 10.0 * np.linalg.norm(eta1 - eta2) * (
+        np.linalg.norm(eta1) + np.linalg.norm(eta2))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

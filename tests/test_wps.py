@@ -112,14 +112,11 @@ def test_singular_strata():
     assert wps.singular_strata(WeightedSpace((1, 1, 1, 1, 1))) == []
 
 
-def test_anticanonical_degree_and_linear_cone():
+def test_anticanonical_degree():
     space = WeightedSpace((1, 1, 1, 1, 4))
     assert wps.anticanonical_degree(CompleteIntersectionDatum(space)) == 8
     v = CompleteIntersectionDatum(WeightedSpace((1, 1, 1, 1, 4, 4)), (8,))
     assert wps.anticanonical_degree(v) == 4
-    cone = CompleteIntersectionDatum(WeightedSpace((1, 1, 2)), (2,))
-    assert wps.linear_cone_detect(cone) == [2]
-    assert wps.linear_cone_detect(v) == []
 
 
 def test_diagonal_quasismooth():
@@ -183,7 +180,8 @@ def test_involution_on_the_octic_ambient():
     ambient = CompleteIntersectionDatum(WeightedSpace((1, 1, 1, 1, 4)))
     rho = InvolutionDatum((1, 0, 3, 2, 4), (0, 2, 0, 2, 0))
     poly = octic_polynomial(5)
-    check = wps.involution_check(ambient, rho, [poly])
+    check = wps.involution_check(ambient, rho, [poly],
+                                 wps.isolated_z4_check(ambient))
     assert check.ok, check.reasons
     assert check.fixed_count == 1  # the Z4 point itself
 
@@ -193,7 +191,8 @@ def test_involution_with_two_fixed_points():
     v = CompleteIntersectionDatum(space, (8,), (8, 8, 8, 8, 2, 2))
     rho = InvolutionDatum((1, 0, 3, 2, 5, 4), (0, 2, 0, 2, 0, 0))
     poly = octic_polynomial(6)
-    check = wps.involution_check(v, rho, [poly])
+    check = wps.involution_check(v, rho, [poly],
+                                 wps.isolated_z4_check(v))
     assert check.ok, check.reasons
     assert check.fixed_count == 2
 
@@ -203,7 +202,8 @@ def test_involution_rejects_unpreserved_polynomial():
     rho = InvolutionDatum((1, 0, 3, 2, 4), (0, 2, 0, 2, 0))
     # x0^8 alone is sent to x1^8: not preserved.
     poly = wps.parse_polynomial([((8, 0, 0, 0, 0), GR(1))])
-    check = wps.involution_check(ambient, rho, [poly])
+    check = wps.involution_check(ambient, rho, [poly],
+                                 wps.isolated_z4_check(ambient))
     assert not check.ok
     assert any("preserve" in r for r in check.reasons)
 
@@ -217,7 +217,8 @@ def test_involution_requires_projective_involutivity():
     ambient = CompleteIntersectionDatum(WeightedSpace((1, 1, 1, 1, 4)))
     # phases that do not square to a single projective unit
     rho = InvolutionDatum((1, 0, 3, 2, 4), (0, 1, 0, 2, 0))
-    check = wps.involution_check(ambient, rho, [octic_polynomial(5)])
+    check = wps.involution_check(ambient, rho, [octic_polynomial(5)],
+                                 wps.isolated_z4_check(ambient))
     assert not check.ok
 
 
