@@ -189,8 +189,11 @@ def invariant_block(report) -> str:
 def render_analysis(result, fmt: str) -> str:
     r, d = result.report, result.data
     if fmt == "structured":
-        lines = [
-            f"name = {result.config.name}",
+        lines = [f"name = {result.config.name}"]
+        lines += [f"override = {name.removeprefix('override ')}: {note}"
+                  for name, note in result.checks
+                  if name.startswith("override ")]
+        lines += [
             f"chi_orb_V = {result.chi_V.chi_orb}",
             f"chi_V = {result.chi_V.chi_top}",
             f"h31_V = {d.h31_V}",

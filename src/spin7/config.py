@@ -17,7 +17,7 @@ Configurations are JSON documents.  Schema (all coordinates 0-based):
   },
   "sigma": [                         # components of the self-intersection
     {"degrees": [int, ...], "multiplicity": int,
-     "weights": [int, ...] | absent  # defaults to the ambient weights
+     "weights": [int, ...] | absent  # gcd 1; defaults to the ambient
     }, ...
   ],
   "involution": {
@@ -51,7 +51,8 @@ recorded note belongs to a check that held:
 6. ``anticanonical divisor degree``: ``pass``.
 
 Each applied override then adds an entry ``override chi_V`` or
-``override h31_V`` whose note reads ``<value> replaces computed <value>``.
+``override h31_V`` whose note reads ``<value> replaces computed <value>``;
+the structured CLI format prints these entries as ``override = ...`` lines.
 The ``skipped`` and ``certified externally`` notes are recorded, but a V
 with several equations or without diagonal exponents makes check 4 raise
 ``wps.UnsupportedError``, so no returned result carries them yet.
@@ -182,8 +183,13 @@ def load_config(text: str) -> Configuration:
     sigma = []
     for i, s in enumerate(sigma_docs):
         _require(isinstance(s, dict), f"sigma[{i}] must be an object")
-        s_weights = (_positive_list(s["weights"], f"sigma[{i}].weights")
-                     if "weights" in s else weights)
+        s_weights = weights
+        if "weights" in s:
+            s_weights = _positive_list(s["weights"], f"sigma[{i}].weights")
+            try:
+                wps.WeightedSpace(s_weights)  # gcd 1: a weight system
+            except ValueError as exc:
+                raise SchemaError(f"sigma[{i}].weights: {exc}") from None
         s_degrees = _positive_list(s.get("degrees", []),
                                    f"sigma[{i}].degrees")
         mult = s.get("multiplicity", 1)

@@ -1,8 +1,14 @@
 """Exact linear algebra over the rationals.
 
-Small dense matrices as lists of lists of ``Fraction``; dimensions here
-never exceed 70 (the space of 4-forms on R^8), so Gaussian elimination
-with exact pivoting is entirely adequate.
+Matrices are lists of lists of ``Fraction`` with at most 70 columns (the
+space of 4-forms on R^8).  ``rref`` is the one elimination kernel: exact
+Gauss-Jordan elimination that scales the pivot row once and updates every
+other row only at the pivot row's nonzero columns.  The matrices met here
+(Hodge star, infinitesimal actions, orbit rows) are mostly zeros, so this
+skips most of the ``Fraction`` work of a full row update.  Adding zero
+does not change an entry and the reduced row echelon form is unique, so
+``rank``, ``nullspace`` and ``solve`` return exactly what a full row
+update would.
 """
 
 from __future__ import annotations
@@ -33,12 +39,19 @@ def rref(matrix: Matrix) -> tuple[Matrix, list[int]]:
         if pivot_row is None:
             continue
         m[row], m[pivot_row] = m[pivot_row], m[row]
-        inv = Fraction(1) / m[row][col]
-        m[row] = [x * inv for x in m[row]]
+        prow = m[row]
+        # left of col the pivot row is zero: earlier pivot columns are
+        # cleared and earlier free columns are zero below the pivot rows
+        nz = [j for j in range(col, ncols) if prow[j]]
+        inv = Fraction(1) / prow[col]
+        for j in nz:
+            prow[j] *= inv
         for r in range(nrows):
-            if r != row and m[r][col]:
-                factor = m[r][col]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[row])]
+            target = m[r]
+            factor = target[col]
+            if factor and r != row:
+                for j in nz:
+                    target[j] -= factor * prow[j]
         pivots.append(col)
         row += 1
         if row == nrows:

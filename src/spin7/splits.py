@@ -24,6 +24,9 @@ class AdmissibilityError(ValueError):
     """The supplied form does not define the expected structure."""
 
 
+_ZERO = Fraction(0)
+
+
 # ---------------------------------------------------------------------------
 # coordinates on the monomial basis
 # ---------------------------------------------------------------------------
@@ -41,7 +44,7 @@ def monomial_masks(n: int, r: int) -> list[int]:
 
 def to_coords(a: Multivector, masks: list[int]) -> Vector:
     lookup = a.terms
-    return [lookup.get(m, Fraction(0)) for m in masks]
+    return [lookup.get(m, _ZERO) for m in masks]
 
 
 def from_coords(v: Vector, masks: list[int], n: int, r: int) -> Multivector:
@@ -68,6 +71,7 @@ def operator_matrix(op, n: int, r_in: int, r_out: int) -> Matrix:
 def infinitesimal_action(A: Matrix, form: Multivector) -> Multivector:
     """Derivation action of A in gl(n) on a form, dx_i -> sum_j A[i][j] dx_j."""
     n = form.dimension
+    rows = [[(j, aij) for j, aij in enumerate(A[i]) if aij] for i in range(n)]
     acc: dict[int, Fraction] = {}
     for mask, coeff in form.terms.items():
         for i in range(n):
@@ -77,12 +81,12 @@ def infinitesimal_action(A: Matrix, form: Multivector) -> Multivector:
             # replacing dx_i by dx_j: move dx_i to the front, swap, sort back
             rest = mask ^ bit_i
             sign_i = merge_sign(bit_i, rest)
-            for j, aij in enumerate(A[i]):
+            for j, aij in rows[i]:
                 bit_j = 1 << j
-                if not aij or rest & bit_j:
+                if rest & bit_j:
                     continue  # a repeated index kills the term
                 new_mask = rest | bit_j
-                acc[new_mask] = (acc.get(new_mask, Fraction(0))
+                acc[new_mask] = (acc.get(new_mask, _ZERO)
                                  + sign_i * merge_sign(bit_j, rest)
                                  * coeff * aij)
     return Multivector(n, form.degree, acc)

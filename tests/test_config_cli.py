@@ -66,6 +66,10 @@ def test_load_dump_round_trip_is_canonical():
                                                      [1, 1, 1, 1, 0]),
                  "sigma\\[0\\].weights must be a list of positive",
                  id="sigma-weight-zero"),
+    pytest.param(lambda d: d["sigma"][0].__setitem__("weights",
+                                                     [2, 2, 2, 2, 4]),
+                 "sigma\\[0\\].weights: weights must have gcd 1",
+                 id="sigma-weights-gcd-two"),
     pytest.param(lambda d: d["sigma"][0].__setitem__("degrees", [8, -8]),
                  "sigma\\[0\\].degrees must be a list of positive",
                  id="sigma-degree-negative"),
@@ -223,6 +227,20 @@ def test_analyze_reports_an_applied_override(tmp_path):
     assert "b4(M) = 840" in out
     checks = out[out.index("checks:"):out.index("intermediate values:")]
     assert checks.splitlines()[-1] == "  override chi_V: 7 replaces computed 5"
+
+
+def test_structured_analysis_reports_each_applied_override(tmp_path):
+    path = _m1_mutation(
+        lambda d: d.__setitem__("overrides", {"chi_V": 7, "h31_V": 0}),
+        tmp_path)
+    code, out, err = run_cli("analyze", path, "--format", "structured")
+    assert code == cli.EXIT_OK, err
+    assert "b4 = 840" in out and "chi_V = 5" in out
+    assert [line for line in out.splitlines()
+            if line.startswith("override")] == [
+        "override = chi_V: 7 replaces computed 5",
+        "override = h31_V: 0 replaces computed 0",
+    ]
 
 
 def test_analyze_input_errors_exit_two(tmp_path):

@@ -1,0 +1,113 @@
+"""Properties of the exact elimination kernel on sparse and dense input."""
+
+import copy
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from spin7 import linalg
+
+MAX_ROWS, MAX_COLS = 12, 16
+
+entries = st.builds(Fraction, st.integers(-6, 6),
+                    st.sampled_from((1, 2, 3, 5)))
+nonzero = entries.filter(bool)
+
+
+@st.composite
+def matrices(draw):
+    """Rational matrices up to 12 x 16: sparse, dense or a product of
+    lower rank, with some rows and columns zeroed."""
+    nrows = draw(st.integers(1, MAX_ROWS))
+    ncols = draw(st.integers(1, MAX_COLS))
+    kind = draw(st.sampled_from(("sparse", "dense", "low-rank")))
+    if kind == "sparse":
+        m = linalg.zeros(nrows, ncols)
+        cells = st.tuples(st.integers(0, nrows - 1), st.integers(0, ncols - 1))
+        for i, j in draw(st.lists(cells, max_size=nrows * ncols // 4 + 1)):
+            m[i][j] = draw(nonzero)
+    elif kind == "dense":
+        m = [[draw(entries) for _ in range(ncols)] for _ in range(nrows)]
+    else:
+        k = draw(st.integers(1, min(nrows, ncols)))
+        left = [[draw(entries) for _ in range(k)] for _ in range(nrows)]
+        right = [[draw(entries) for _ in range(ncols)] for _ in range(k)]
+        m = [[sum((a * b for a, b in zip(row, col)), Fraction(0))
+              for col in zip(*right)] for row in left]
+    for i in draw(st.sets(st.integers(0, nrows - 1), max_size=nrows // 2)):
+        m[i] = [Fraction(0)] * ncols
+    for j in draw(st.sets(st.integers(0, ncols - 1), max_size=ncols // 2)):
+        for row in m:
+            row[j] = Fraction(0)
+    return m
+
+
+def mat_vec(matrix, v):
+    return [sum((a * x for a, x in zip(row, v)), Fraction(0))
+            for row in matrix]
+
+
+@settings(max_examples=80, deadline=None)
+@given(matrices())
+def test_rref_is_reduced_echelon_form_of_the_same_row_space(m):
+    before = copy.deepcopy(m)
+    reduced, pivots = linalg.rref(m)
+    assert m == before  # the argument is not mutated
+    assert len(reduced) == len(m)
+    assert all(len(row) == len(m[0]) for row in reduced)
+    assert pivots == sorted(set(pivots))
+    for i, p in enumerate(pivots):
+        assert reduced[i][p] == 1
+        assert not any(reduced[i][:p])
+        assert all(not reduced[r][p] for r in range(len(m)) if r != i)
+    assert not any(any(row) for row in reduced[len(pivots):])
+    assert linalg.rank(m) == len(pivots)
+    # the output spans no more than the input
+    assert linalg.rank(m + reduced) == len(pivots)
+
+
+@settings(max_examples=80, deadline=None)
+@given(matrices())
+def test_nullspace_is_annihilated_and_has_the_complementary_dimension(m):
+    before = copy.deepcopy(m)
+    kernel = linalg.nullspace(m)
+    assert m == before
+    ncols = len(m[0])
+    assert len(kernel) == ncols - linalg.rank(m)
+    for v in kernel:
+        assert not any(mat_vec(m, v))
+    if kernel:
+        assert linalg.rank(kernel) == len(kernel)
+
+
+@settings(max_examples=80, deadline=None)
+@given(matrices(), st.data())
+def test_solve_solves_or_reports_inconsistency(m, data):
+    ncols = len(m[0])
+    y = data.draw(st.lists(entries, min_size=ncols, max_size=ncols))
+    consistent = mat_vec(m, y)
+    arbitrary = data.draw(st.lists(entries, min_size=len(m),
+                                   max_size=len(m)))
+    before = copy.deepcopy(m)
+    for rhs in (consistent, arbitrary):
+        rhs_before = list(rhs)
+        x = linalg.solve(m, rhs)
+        assert m == before and rhs == rhs_before
+        augmented = [row + [b] for row, b in zip(m, rhs)]
+        if x is None:
+            assert rhs is not consistent
+            assert linalg.rank(augmented) > linalg.rank(m)
+        else:
+            assert mat_vec(m, x) == rhs
+
+
+def test_rref_edge_shapes():
+    assert linalg.rref([]) == ([], [])
+    assert linalg.rank([]) == 0 and linalg.nullspace([]) == []
+    zero = linalg.zeros(3, 4)
+    assert linalg.rref(zero) == (zero, [])
+    assert len(linalg.nullspace(zero)) == 4
+    one = [[Fraction(0), Fraction(2), Fraction(4)]]
+    assert linalg.rref(one) == ([[0, 1, 2]], [1])
+    assert linalg.solve([[Fraction(0)]], [Fraction(1)]) is None
