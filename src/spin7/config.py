@@ -8,11 +8,10 @@ Configurations are JSON documents.  Schema (all coordinates 0-based):
   "ambient_weights": [int, ...],
   "variety": {                       # V inside the ambient space
     "degrees": [int, ...],           # [] means V is the ambient space
-    "exponents": [int, ...] | null,  # diagonal member, one per coordinate
-    "certified_quasismooth": bool    # external certificate, optional
+    "exponents": [int, ...] | null   # diagonal member, one per coordinate
   },
-  "divisor": {                       # D as a complete intersection in the
-    "degrees": [int, ...],           # ambient space (including V's degrees)
+  "divisor": {                       # D, one hypersurface section of V
+    "degrees": [int, ...],           # V's degrees, then the cut of D
     "h11": int                       # h^{1,1}(D), default 1 (Lefschetz)
   },
   "sigma": [                         # components of the self-intersection
@@ -32,30 +31,27 @@ Configurations are JSON documents.  Schema (all coordinates 0-based):
   "overrides": {"chi_V": int, "h31_V": int}  # optional, testing only
 }
 
+Every object rejects a key the schema does not list.
 ``dump_config(load_config(text))`` is canonical and idempotent, giving a
 bit-exact round-trip of the schema.
 
 ``analyze`` runs six admissibility checks in this order and records one
-``(name, note)`` entry per check in ``AnalysisResult.checks``.  The first
-failing check raises ``AdmissibilityFailure`` with its reasons, so every
-recorded note belongs to a check that held:
+``(name, "pass")`` entry per check in ``AnalysisResult.checks``.  The
+first failing check raises ``AdmissibilityFailure`` with its reasons:
 
-1. ``well-formed (V)``: ``pass``;
-2. ``well-formed (D)``: ``pass``, or ``skipped: more than two
-   hypersurfaces``;
-3. ``quasismooth (V)``: ``pass`` (a diagonal member or the ambient
-   space), or ``certified externally`` (``certified_quasismooth`` or
-   ``--allow-uncertified``);
-4. ``isolated Z4 singularities``: ``pass``;
-5. ``involution``: ``pass``;
-6. ``anticanonical divisor degree``: ``pass``.
+1. ``well-formed (V)``;
+2. ``well-formed (D)``;
+3. ``quasismooth (V)``: the ambient space or a diagonal member;
+4. ``isolated Z4 singularities``;
+5. ``involution``;
+6. ``anticanonical divisor degree``.
 
-Each applied override then adds an entry ``override chi_V`` or
+V must be the ambient space or a single diagonal hypersurface.
+``wps.isolated_z4_check`` decides this once, right after the two
+well-formedness checks, and raises ``wps.UnsupportedError`` for any other
+V.  Each applied override then adds an entry ``override chi_V`` or
 ``override h31_V`` whose note reads ``<value> replaces computed <value>``;
 the structured CLI format prints these entries as ``override = ...`` lines.
-The ``skipped`` and ``certified externally`` notes are recorded, but a V
-with several equations or without diagonal exponents makes check 4 raise
-``wps.UnsupportedError``, so no returned result carries them yet.
 """
 
 from __future__ import annotations
@@ -94,7 +90,6 @@ class Configuration:
     ambient_weights: tuple[int, ...]
     variety_degrees: tuple[int, ...]
     variety_exponents: tuple[int, ...] | None
-    certified_quasismooth: bool
     divisor_degrees: tuple[int, ...]
     divisor_h11: int
     sigma: tuple[SigmaSpec, ...]
@@ -107,8 +102,11 @@ class Configuration:
         return wps.CompleteIntersectionDatum(
             wps.WeightedSpace(self.ambient_weights),
             self.variety_degrees,
-            self.variety_exponents,
-            self.certified_quasismooth)
+            self.variety_exponents)
+
+    def divisor_datum(self) -> wps.CompleteIntersectionDatum:
+        return wps.CompleteIntersectionDatum(
+            wps.WeightedSpace(self.ambient_weights), self.divisor_degrees)
 
 
 def _require(condition: bool, message: str):
@@ -121,8 +119,11 @@ def _is_int(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _bool(value: Any, where: str) -> bool:
-    _require(isinstance(value, bool), f"{where} must be true or false")
+def _object(value: Any, where: str, fields: set[str]) -> dict:
+    """A JSON object whose keys all belong to ``fields``."""
+    _require(isinstance(value, dict), f"{where} must be an object")
+    unknown = set(value) - fields
+    _require(not unknown, f"{where}: unknown fields {sorted(unknown)}")
     return value
 
 
@@ -145,12 +146,9 @@ def load_config(text: str) -> Configuration:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"not valid JSON: {exc}") from None
-    _require(isinstance(doc, dict), "top level must be an object")
-    known = {"name", "ambient_weights", "variety", "divisor", "sigma",
-             "involution", "polynomials", "assume_simply_connected",
-             "overrides"}
-    unknown = set(doc) - known
-    _require(not unknown, f"unknown fields: {sorted(unknown)}")
+    _object(doc, "top level", {
+        "name", "ambient_weights", "variety", "divisor", "sigma",
+        "involution", "polynomials", "assume_simply_connected", "overrides"})
     for field in ("name", "ambient_weights", "variety", "divisor", "sigma",
                   "involution"):
         _require(field in doc, f"missing field: {field}")
@@ -160,20 +158,17 @@ def load_config(text: str) -> Configuration:
     weights = _int_list(doc["ambient_weights"], "ambient_weights")
     n1 = len(weights)
 
-    variety = doc["variety"]
-    _require(isinstance(variety, dict), "variety must be an object")
+    variety = _object(doc["variety"], "variety", {"degrees", "exponents"})
     vdeg = _int_list(variety.get("degrees", []), "variety.degrees")
     vexp_raw = variety.get("exponents")
     vexp = (None if vexp_raw is None
             else _int_list(vexp_raw, "variety.exponents"))
-    certified = _bool(variety.get("certified_quasismooth", False),
-                      "variety.certified_quasismooth")
 
-    divisor = doc["divisor"]
-    _require(isinstance(divisor, dict), "divisor must be an object")
+    divisor = _object(doc["divisor"], "divisor", {"degrees", "h11"})
     ddeg = _positive_list(divisor.get("degrees", []), "divisor.degrees")
-    _require(len(ddeg) > len(vdeg) and ddeg[:len(vdeg)] == vdeg,
-             "divisor.degrees must extend variety.degrees by the cut of D")
+    _require(len(ddeg) == len(vdeg) + 1 and ddeg[:len(vdeg)] == vdeg,
+             "divisor.degrees must extend variety.degrees by exactly one "
+             "degree, the cut of D")
     h11 = divisor.get("h11", 1)
     _require(_is_int(h11) and h11 >= 1, "divisor.h11 must be >= 1")
 
@@ -182,7 +177,7 @@ def load_config(text: str) -> Configuration:
              "sigma must be a nonempty list")
     sigma = []
     for i, s in enumerate(sigma_docs):
-        _require(isinstance(s, dict), f"sigma[{i}] must be an object")
+        _object(s, f"sigma[{i}]", {"weights", "degrees", "multiplicity"})
         s_weights = weights
         if "weights" in s:
             s_weights = _positive_list(s["weights"], f"sigma[{i}].weights")
@@ -199,8 +194,8 @@ def load_config(text: str) -> Configuration:
                  f"sigma[{i}] must describe a surface")
         sigma.append(SigmaSpec(s_weights, s_degrees, mult))
 
-    inv_doc = doc["involution"]
-    _require(isinstance(inv_doc, dict), "involution must be an object")
+    inv_doc = _object(doc["involution"], "involution",
+                      {"permutation", "phase_powers"})
     perm = _int_list(inv_doc.get("permutation", []),
                      "involution.permutation")
     phases = _int_list(inv_doc.get("phase_powers", []),
@@ -214,14 +209,15 @@ def load_config(text: str) -> Configuration:
 
     polys = []
     for i, p in enumerate(doc.get("polynomials", [])):
-        _require(isinstance(p, dict) and isinstance(p.get("name"), str),
-                 f"polynomials[{i}] must be an object with a name")
+        _object(p, f"polynomials[{i}]", {"name", "terms"})
+        _require(isinstance(p.get("name"), str),
+                 f"polynomials[{i}].name must be a string")
         terms = p.get("terms", [])
         _require(isinstance(terms, list) and terms,
                  f"polynomials[{i}].terms must be a nonempty list")
         entries = []
-        for t in terms:
-            _require(isinstance(t, dict), "each term must be an object")
+        for j, t in enumerate(terms):
+            _object(t, f"polynomials[{i}].terms[{j}]", {"exponents", "coeff"})
             exps = _int_list(t.get("exponents", []), "term exponents")
             _require(len(exps) == n1, "term exponents must cover all "
                      "coordinates")
@@ -235,8 +231,9 @@ def load_config(text: str) -> Configuration:
                 raise SchemaError(str(exc)) from None
         polys.append((p["name"], wps.parse_polynomial(entries)))
 
-    simply_connected = _bool(doc.get("assume_simply_connected", True),
-                             "assume_simply_connected")
+    simply_connected = doc.get("assume_simply_connected", True)
+    _require(isinstance(simply_connected, bool),
+             "assume_simply_connected must be true or false")
     overrides = doc.get("overrides", {})
     _require(isinstance(overrides, dict)
              and set(overrides) <= {"chi_V", "h31_V"}
@@ -249,7 +246,6 @@ def load_config(text: str) -> Configuration:
             ambient_weights=weights,
             variety_degrees=vdeg,
             variety_exponents=vexp,
-            certified_quasismooth=certified,
             divisor_degrees=ddeg,
             divisor_h11=h11,
             sigma=tuple(sigma),
@@ -259,6 +255,7 @@ def load_config(text: str) -> Configuration:
             overrides=dict(overrides),
         )
         config.variety_datum()  # validates weights/degrees/exponents
+        config.divisor_datum()
     except SchemaError:
         raise
     except ValueError as exc:
@@ -276,7 +273,6 @@ def dump_config(config: Configuration) -> str:
             "degrees": list(config.variety_degrees),
             "exponents": (None if config.variety_exponents is None
                           else list(config.variety_exponents)),
-            "certified_quasismooth": config.certified_quasismooth,
         },
         "divisor": {
             "degrees": list(config.divisor_degrees),
@@ -318,13 +314,12 @@ class AnalysisResult:
     report: invariants.InvariantReport
 
 
-def analyze(config: Configuration,
-            allow_uncertified: bool = False) -> AnalysisResult:
+def analyze(config: Configuration) -> AnalysisResult:
     """Run all admissibility checks and compute the invariant report.
 
     Raises ``AdmissibilityFailure`` when a mathematical check fails and
-    ``wps.UnsupportedError`` when a check cannot be mechanized and no
-    certificate or override permits skipping it.
+    ``wps.UnsupportedError`` when V is not the ambient space or a single
+    diagonal hypersurface.
     """
     checks: list[tuple[str, str]] = []
 
@@ -339,27 +334,13 @@ def analyze(config: Configuration,
 
     check("well-formed (V)", (f"well-formedness: {v}"
                               for v in wps.well_formed(variety)[1]))
+    divisor = config.divisor_datum()
+    check("well-formed (D)", (f"well-formedness of D: {v}"
+                              for v in wps.well_formed(divisor)[1]))
 
-    if len(config.divisor_degrees) <= 2:
-        divisor = wps.CompleteIntersectionDatum(space,
-                                                config.divisor_degrees)
-        check("well-formed (D)", (f"well-formedness of D: {v}"
-                                  for v in wps.well_formed(divisor)[1]))
-    else:
-        check("well-formed (D)", (), "skipped: more than two hypersurfaces")
-
-    if variety.degrees and variety.exponents is None:
-        if not (variety.certified_quasismooth or allow_uncertified):
-            raise wps.UnsupportedError(
-                "unsupported: general quasismoothness; supply diagonal "
-                "exponents, a certificate, or --allow-uncertified")
-        check("quasismooth (V)", (), "certified externally")
-    else:
-        qs_ok, qs_note = wps.diagonal_quasismooth(variety)
-        check("quasismooth (V)",
-              () if qs_ok else [f"quasismoothness: {qs_note}"])
-
-    iso = wps.isolated_z4_check(variety)
+    iso = wps.isolated_z4_check(variety)  # the only check of V's shape
+    qs_ok, qs_note = wps.diagonal_quasismooth(variety)
+    check("quasismooth (V)", () if qs_ok else [f"quasismoothness: {qs_note}"])
     empty = () if iso.k else ("the singular locus is empty",)
     check("isolated Z4 singularities",
           (f"singularities: {r}" for r in iso.reasons or empty))
@@ -370,7 +351,7 @@ def analyze(config: Configuration,
     check("involution", (f"involution: {r}" for r in involution.reasons))
 
     anticanonical = wps.anticanonical_degree(variety)
-    divisor_cut = sum(config.divisor_degrees) - sum(config.variety_degrees)
+    divisor_cut = config.divisor_degrees[-1]
     check("anticanonical divisor degree",
           [f"divisor degree {divisor_cut} does not match the "
            f"anticanonical degree {anticanonical}"]

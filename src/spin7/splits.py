@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from spin7.forms import (
-    Multivector, contract, cylinder_form, hodge_star, inner, merge_sign, wedge,
+    Multivector, contract, cylinder_form, g2_split, hodge_star, inner,
+    merge_sign, wedge,
 )
 from spin7 import linalg
 from spin7.linalg import Matrix, Vector
@@ -341,18 +342,21 @@ def _lift_two_form(gamma7: Multivector) -> Multivector:
     return Multivector(8, 2, terms)
 
 
-def cylinder_two_form_types(phi: Multivector) -> CylinderTypes:
-    """Realize the 2-form split of the cylinder 4-form dt^phi + *phi.
+def cylinder_two_form_types(split: TypeSplit) -> CylinderTypes:
+    """Realize the 2-form split of a cylinder 4-form dt^phi + *phi.
 
-    For each tangent vector v of R^7 the rank-7 block is spanned by
+    ``split`` is ``two_form_split`` of that 4-form, and phi is its dt
+    factor.  For each tangent vector v of R^7 the rank-7 block is spanned by
     dt ^ *( *phi ^ (v -| phi) ) + 3 (v -| phi), and the rank-21 block by
     dt ^ *( *phi ^ alpha ) - alpha over 2-forms alpha.  The function
     checks these parameterizations against the eigenspace split of the
     cylinder form and determines the exact scalar making the map
     v -| phi -> *( *phi ^ (v -| phi) ) a multiple of the metric dual of v.
     """
-    if phi.dimension != 7 or phi.degree != 3:
-        raise ValueError("expected a 3-form on R^7")
+    phi = g2_split(split.phi)[0]
+    if cylinder_form(phi) != split.phi:
+        raise AdmissibilityError(
+            "the 4-form is not the cylinder form of its dt factor")
     star_phi = hodge_star(phi)
 
     def hat(alpha7: Multivector) -> Multivector:
@@ -367,7 +371,6 @@ def cylinder_two_form_types(phi: Multivector) -> CylinderTypes:
         alpha = Multivector(7, 2, {m: 1})
         twentyone.append(_lift_one_form(hat(alpha)) - _lift_two_form(alpha))
 
-    split = two_form_split(cylinder_form(phi))
     masks8 = monomial_masks(8, 2)
     rows7 = [to_coords(b, masks8) for b in split.basis("7")]
     rows21 = [to_coords(b, masks8) for b in split.basis("21")]

@@ -8,8 +8,9 @@ antiholomorphic involutions of coordinate-swap type, and a brute-force
 scan for weight systems passing the necessary admissibility conditions.
 
 Checks that would require general commutative algebra (Groebner bases,
-arbitrary polynomials) are deliberately out of scope; they raise
-``UnsupportedError`` so a caller can certify externally.
+arbitrary polynomials) are deliberately out of scope: ``isolated_z4_check``
+supports the ambient space or a single diagonal hypersurface and raises
+``UnsupportedError`` for any other variety.
 """
 
 from __future__ import annotations
@@ -195,13 +196,12 @@ class CompleteIntersectionDatum:
 
     ``exponents`` describes a diagonal defining polynomial
     f = sum c_i z_i^{e_i} for a single hypersurface; None means the
-    member is not diagonal (machine certification unavailable).
+    member is not diagonal.
     """
 
     space: WeightedSpace
     degrees: tuple[int, ...] = ()
     exponents: tuple[int, ...] | None = None
-    certified_quasismooth: bool = False
 
     def __post_init__(self):
         if any(d < 1 for d in self.degrees):
@@ -287,8 +287,7 @@ def diagonal_quasismooth(ci: CompleteIntersectionDatum
         return True, "ambient space; nothing to certify"
     if ci.exponents is None:
         raise UnsupportedError(
-            "unsupported: general quasismoothness; supply diagonal "
-            "exponents or certify externally")
+            "unsupported: general quasismoothness; supply diagonal exponents")
     d = ci.degrees[0]
     for i, a in enumerate(ci.space.weights):
         if d % a:
@@ -532,9 +531,11 @@ def _fixed_locus_count(ci: CompleteIntersectionDatum, inv: InvolutionDatum,
                        reasons: list[str]) -> int | None:
     """Count fixed points of the involution on the variety.
 
-    ``support`` lists the coordinates allowed to be nonzero at a fixed
-    point.  Returns None (appending a reason) when the fixed locus is
-    positive-dimensional or the shape is out of scope.
+    ``ci`` is a shape ``isolated_z4_check`` accepted: the ambient space
+    or a single diagonal hypersurface.  ``support`` lists the coordinates
+    allowed to be nonzero at a fixed point.  Returns None (appending a
+    reason) when the fixed locus is positive-dimensional or the shape is
+    out of scope.
     """
     sigma = inv.permutation
     if not ci.degrees:
@@ -544,9 +545,6 @@ def _fixed_locus_count(ci: CompleteIntersectionDatum, inv: InvolutionDatum,
                 f"(free coordinates {support})")
             return None
         return 1  # the coordinate point, fixed since sigma fixes it
-    if ci.exponents is None:
-        raise UnsupportedError(
-            "unsupported: fixed-locus analysis needs a diagonal member")
     if len(support) == 1:
         # the single coordinate point is not on a diagonal hypersurface
         return 0

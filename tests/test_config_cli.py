@@ -51,10 +51,6 @@ def test_load_dump_round_trip_is_canonical():
         lambda d: d.__setitem__("assume_simply_connected", "no"),
         "assume_simply_connected must be true or false",
         id="simply-connected-string-no"),
-    pytest.param(
-        lambda d: d["variety"].__setitem__("certified_quasismooth", "false"),
-        "certified_quasismooth must be true or false",
-        id="certified-string-false"),
     pytest.param(lambda d: d["divisor"].__setitem__("h11", True),
                  "h11", id="h11-true"),
     pytest.param(lambda d: d["sigma"][0].__setitem__("multiplicity", True),
@@ -80,6 +76,34 @@ def test_load_dump_round_trip_is_canonical():
                      {"exponents": [0, 0, 0, 0, -3], "coeff": "1"}),
                  "term exponents must be nonnegative",
                  id="term-exponent-negative"),
+    # D is one hypersurface section of V: [4, 2, 2] would make D a curve
+    pytest.param(lambda d: d["divisor"].__setitem__("degrees", [4, 2, 2]),
+                 "extend variety.degrees by exactly one degree",
+                 id="divisor-three-degrees"),
+    # every nested object rejects keys the schema does not list
+    pytest.param(
+        lambda d: d["variety"].__setitem__("certified_quasismooth", True),
+        "variety: unknown fields \\['certified_quasismooth'\\]",
+        id="variety-leftover-certificate"),
+    pytest.param(lambda d: d["variety"].__setitem__("exponent",
+                                                    [8, 8, 8, 8, 2]),
+                 "variety: unknown fields \\['exponent'\\]",
+                 id="variety-typo"),
+    pytest.param(lambda d: d["divisor"].__setitem__("H11", 1000),
+                 "divisor: unknown fields \\['H11'\\]", id="divisor-typo"),
+    pytest.param(lambda d: d["sigma"][0].__setitem__("multiplicty", 2),
+                 "sigma\\[0\\]: unknown fields \\['multiplicty'\\]",
+                 id="sigma-typo"),
+    pytest.param(lambda d: d["involution"].__setitem__("phases", [0] * 5),
+                 "involution: unknown fields \\['phases'\\]",
+                 id="involution-typo"),
+    pytest.param(lambda d: d["polynomials"][1].__setitem__("term", []),
+                 "polynomials\\[1\\]: unknown fields \\['term'\\]",
+                 id="polynomial-typo"),
+    pytest.param(lambda d: d["polynomials"][0]["terms"][2].__setitem__(
+                     "coef", "2"),
+                 "polynomials\\[0\\].terms\\[2\\]: unknown fields "
+                 "\\['coef'\\]", id="term-typo"),
 ])
 def test_schema_violations(mutate, message):
     doc = json.loads((CONFIG_DIR / "m1.cfg").read_text())
@@ -106,28 +130,6 @@ def test_analyze_the_first_configuration():
     assert result.report.b4 == 839
 
 
-def test_analyze_uncertified_general_member_needs_a_flag():
-    doc = json.loads((CONFIG_DIR / "m2.cfg").read_text())
-    doc["variety"]["exponents"] = None
-    doc["variety"]["certified_quasismooth"] = False
-    cfg = config.load_config(json.dumps(doc))
-    from spin7 import wps
-    with pytest.raises(wps.UnsupportedError, match="quasismooth"):
-        config.analyze(cfg)
-    # The flag moves past the certificate, but a non-diagonal member still
-    # cannot pass the isolated-singularity check mechanically.
-    with pytest.raises(wps.UnsupportedError, match="isolated"):
-        config.analyze(cfg, allow_uncertified=True)
-
-
-def test_analyze_certified_general_member():
-    doc = json.loads((CONFIG_DIR / "m2.cfg").read_text())
-    doc["variety"]["certified_quasismooth"] = True
-    cfg = config.load_config(json.dumps(doc))
-    result = config.analyze(cfg)
-    assert result.report.b4 == 455
-
-
 # ---------------------------------------------------------------------------
 # CLI: verify-forms
 # ---------------------------------------------------------------------------
@@ -150,6 +152,17 @@ def test_verify_forms_detects_a_broken_form():
     assert code == cli.EXIT_MATH
     assert "FAIL" in out
     assert "failed" in err
+
+
+def test_verify_forms_computes_the_two_form_split_once(monkeypatch):
+    from spin7 import splits
+    two_form_split, calls = splits.two_form_split, []
+    monkeypatch.setattr(splits, "two_form_split",
+                        lambda phi: calls.append(phi) or two_form_split(phi))
+    for flags in ((), ("--inject-sign-flip",)):
+        calls.clear()
+        run_cli("verify-forms", *flags)
+        assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +274,32 @@ def test_analyze_string_boolean_exits_two(tmp_path):
     assert code == cli.EXIT_INPUT
     assert "schema error" in err and "assume_simply_connected" in err
     assert "holonomy" not in out
+
+
+def test_analyze_non_diagonal_variety_is_unsupported(tmp_path):
+    doc = json.loads((CONFIG_DIR / "m2.cfg").read_text())
+    doc["variety"]["exponents"] = None
+    path = tmp_path / "m2_general_member.cfg"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli("analyze", str(path))
+    assert code == cli.EXIT_INPUT
+    assert out == ""
+    assert err == ("unsupported input: unsupported: isolated-singularity "
+                   "check needs the ambient space or a single diagonal "
+                   "hypersurface\n")
+
+
+@pytest.mark.parametrize("mutate,needle", [
+    pytest.param(lambda d: d["divisor"].__setitem__("degrees", [4, 2, 2]),
+                 "divisor.degrees must extend", id="divisor-is-a-curve"),
+    pytest.param(lambda d: d["divisor"].__setitem__("H11", 1000),
+                 "divisor: unknown fields", id="nested-typo"),
+])
+def test_analyze_schema_errors_exit_two(mutate, needle, tmp_path):
+    code, out, err = run_cli("analyze", _m1_mutation(mutate, tmp_path))
+    assert code == cli.EXIT_INPUT
+    assert out == ""
+    assert err.startswith("schema error: ") and needle in err
 
 
 def test_analyze_structured_format():

@@ -172,7 +172,7 @@ def test_infinitesimal_action_is_sum_of_wedged_contractions(case):
 
 
 def test_cylinder_two_form_types():
-    cyl = splits.cylinder_two_form_types(g2_phi())
+    cyl = splits.cylinder_two_form_types(splits.two_form_split(PHI))
     assert cyl.split.ranks == (7, 21)
     assert cyl.iso_scale == 3
     _orthogonal_blocks(cyl.split)
@@ -180,6 +180,17 @@ def test_cylinder_two_form_types():
     for label, eigenvalue in (("7", 3), ("21", -1)):
         for alpha in cyl.split.basis(label):
             assert hodge_star(wedge(PHI, alpha)) == eigenvalue * alpha
+
+
+def test_cylinder_two_form_types_rejects_a_non_cylinder_form():
+    # the split's 4-form with dx_1 reversed is dt ^ (-phi) + *phi, which is
+    # not the cylinder form dt ^ (-phi) - *phi of its dt factor
+    split = splits.two_form_split(PHI)
+    flipped = Multivector(8, 4, {m: -c if m & 1 else c
+                                 for m, c in PHI.terms.items()})
+    with pytest.raises(splits.AdmissibilityError, match="cylinder form"):
+        splits.cylinder_two_form_types(
+            splits.TypeSplit(8, 2, flipped, split.blocks))
 
 
 def test_type_split_rejects_unknown_label():
