@@ -47,11 +47,12 @@ first failing check raises ``AdmissibilityFailure`` with its reasons:
 6. ``anticanonical divisor degree``.
 
 V must be the ambient space or a single diagonal hypersurface.
-``wps.isolated_z4_check`` decides this once, right after the two
-well-formedness checks, and raises ``wps.UnsupportedError`` for any other
-V.  Each applied override then adds an entry ``override chi_V`` or
-``override h31_V`` whose note reads ``<value> replaces computed <value>``;
-the structured CLI format prints these entries as ``override = ...`` lines.
+``wps.isolated_z4_check`` decides this once, right after
+``well-formed (V)`` and before D is looked at, and raises
+``wps.UnsupportedError`` for any other V.  Each applied override then
+adds an entry ``override chi_V`` or ``override h31_V`` whose note reads
+``<value> replaces computed <value>``; the structured CLI format prints
+these entries as ``override = ...`` lines.
 """
 
 from __future__ import annotations
@@ -334,11 +335,11 @@ def analyze(config: Configuration) -> AnalysisResult:
 
     check("well-formed (V)", (f"well-formedness: {v}"
                               for v in wps.well_formed(variety)[1]))
+    iso = wps.isolated_z4_check(variety)  # the only check of V's shape
     divisor = config.divisor_datum()
     check("well-formed (D)", (f"well-formedness of D: {v}"
                               for v in wps.well_formed(divisor)[1]))
 
-    iso = wps.isolated_z4_check(variety)  # the only check of V's shape
     qs_ok, qs_note = wps.diagonal_quasismooth(variety)
     check("quasismooth (V)", () if qs_ok else [f"quasismoothness: {qs_note}"])
     empty = () if iso.k else ("the singular locus is empty",)

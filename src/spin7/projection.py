@@ -105,13 +105,11 @@ def _newton_data() -> dict:
     W = np.array(complement, dtype=float).reshape(43, 8, 8)
 
     masks = _MASKS
-    # tangent directions of the orbit at phi0: columns L_W phi0
-    columns = []
-    for v in complement:
-        A = [[v[i * 8 + j] for j in range(8)] for i in range(8)]
-        img = splits.infinitesimal_action(A, phi0)
-        columns.append(splits.to_coords(img, masks))
-    Q, R = np.linalg.qr(np.array(columns, dtype=float).T)  # D = QR, 70 x 43
+    # tangent directions of the orbit at phi0, the 70 x 43 matrix D = QR.
+    # The action matrix of phi0 has entries 0, +-1 and the complement basis
+    # W is integral, so this float product is the exact D.
+    D = np.array(splits.action_matrix(phi0), dtype=float) @ W.reshape(43, 64).T
+    Q, R = np.linalg.qr(D)
     P_tan = Q @ Q.T
 
     split4 = splits.four_form_split(phi0)

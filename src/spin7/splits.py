@@ -5,6 +5,11 @@ integer eigenvalues, so invariant subspaces are exact kernels computed
 over the rationals.  The ambient metric is the standard Euclidean one;
 operations that need the Hodge star check that the supplied 4-form is
 compatible with it (self-dual) and raise ``AdmissibilityError`` otherwise.
+
+``action_matrix`` is the one construction of the infinitesimal gl(n)
+action on forms: the stabilizer, the so(8)-orbit block of the 4-form
+split, ``infinitesimal_action`` and the Newton tangent directions of
+:mod:`spin7.projection` all read it.
 """
 
 from __future__ import annotations
@@ -69,11 +74,15 @@ def operator_matrix(op, n: int, r_in: int, r_out: int) -> Matrix:
 # infinitesimal gl(n) action
 # ---------------------------------------------------------------------------
 
-def infinitesimal_action(A: Matrix, form: Multivector) -> Multivector:
-    """Derivation action of A in gl(n) on a form, dx_i -> sum_j A[i][j] dx_j."""
+def action_matrix(form: Multivector) -> Matrix:
+    """Exact matrix of the derivation action A -> A.form of gl(n).
+
+    Row k belongs to the k-th degree-r monomial and column i*n + j to the
+    elementary matrix E_ij, which replaces dx_i by dx_j.
+    """
     n = form.dimension
-    rows = [[(j, aij) for j, aij in enumerate(A[i]) if aij] for i in range(n)]
-    acc: dict[int, Fraction] = {}
+    row_of = {m: k for k, m in enumerate(monomial_masks(n, form.degree))}
+    matrix = linalg.zeros(len(row_of), n * n)
     for mask, coeff in form.terms.items():
         for i in range(n):
             bit_i = 1 << i
@@ -81,39 +90,25 @@ def infinitesimal_action(A: Matrix, form: Multivector) -> Multivector:
                 continue
             # replacing dx_i by dx_j: move dx_i to the front, swap, sort back
             rest = mask ^ bit_i
-            sign_i = merge_sign(bit_i, rest)
-            for j, aij in rows[i]:
+            signed = merge_sign(bit_i, rest) * coeff
+            for j in range(n):
                 bit_j = 1 << j
                 if rest & bit_j:
                     continue  # a repeated index kills the term
-                new_mask = rest | bit_j
-                acc[new_mask] = (acc.get(new_mask, _ZERO)
-                                 + sign_i * merge_sign(bit_j, rest)
-                                 * coeff * aij)
-    return Multivector(n, form.degree, acc)
+                # (row, column) determine the source mask: one term each
+                matrix[row_of[rest | bit_j]][i * n + j] = (
+                    merge_sign(bit_j, rest) * signed)
+    return matrix
 
 
-def gl_basis(n: int) -> list[Matrix]:
-    """Elementary matrices E_ij in row-major order."""
-    out = []
-    for i in range(n):
-        for j in range(n):
-            A = linalg.zeros(n, n)
-            A[i][j] = Fraction(1)
-            out.append(A)
-    return out
-
-
-def so_basis(n: int) -> list[Matrix]:
-    """Antisymmetric generators E_ij - E_ji, i < j."""
-    out = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            A = linalg.zeros(n, n)
-            A[i][j] = Fraction(1)
-            A[j][i] = Fraction(-1)
-            out.append(A)
-    return out
+def infinitesimal_action(A: Matrix, form: Multivector) -> Multivector:
+    """Derivation action of A in gl(n) on a form, dx_i -> sum_j A[i][j] dx_j:
+    the action matrix applied to the n*n entries of A."""
+    n, r = form.dimension, form.degree
+    entries = [a for row in A for a in row]
+    coords = [sum((c * a for c, a in zip(row, entries) if c and a), _ZERO)
+              for row in action_matrix(form)]
+    return from_coords(coords, monomial_masks(n, r), n, r)
 
 
 # ---------------------------------------------------------------------------
@@ -236,8 +231,10 @@ def four_form_split(phi: Multivector) -> TypeSplit:
         raise AdmissibilityError("anti-self-dual block does not have rank 35")
 
     masks = monomial_masks(8, 4)
-    orbit_rows = [to_coords(infinitesimal_action(A, phi), masks)
-                  for A in so_basis(8)]
+    action = action_matrix(phi)
+    # the generators E_ij - E_ji of so(8), i < j
+    orbit_rows = [[row[i * 8 + j] - row[j * 8 + i] for row in action]
+                  for i, j in itertools.combinations(range(8), 2)]
     reduced, pivots = linalg.rref(orbit_rows)
     block7 = [from_coords(reduced[i], masks, 8, 4) for i in range(len(pivots))]
     if len(block7) != 7:
@@ -306,16 +303,9 @@ class StabilizerResult:
 def stabilizer_dimension(form: Multivector) -> StabilizerResult:
     """Exact kernel of A -> (derivation action of A on the form)."""
     n = form.dimension
-    masks = monomial_masks(n, form.degree)
-    columns = [to_coords(infinitesimal_action(A, form), masks)
-               for A in gl_basis(n)]
-    matrix = [[columns[j][i] for j in range(n * n)]
-              for i in range(len(masks))]
-    kernel = linalg.nullspace(matrix)
-    mats = []
-    for v in kernel:
-        mats.append([list(v[i * n:(i + 1) * n]) for i in range(n)])
-    return StabilizerResult(form, len(kernel), tuple(mats))
+    kernel = linalg.nullspace(action_matrix(form))
+    return StabilizerResult(form, len(kernel), tuple(
+        [v[i * n:(i + 1) * n] for i in range(n)] for v in kernel))
 
 
 # ---------------------------------------------------------------------------

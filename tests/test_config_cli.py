@@ -276,6 +276,11 @@ def test_analyze_string_boolean_exits_two(tmp_path):
     assert "holonomy" not in out
 
 
+UNSUPPORTED_V = ("unsupported input: unsupported: isolated-singularity "
+                 "check needs the ambient space or a single diagonal "
+                 "hypersurface\n")
+
+
 def test_analyze_non_diagonal_variety_is_unsupported(tmp_path):
     doc = json.loads((CONFIG_DIR / "m2.cfg").read_text())
     doc["variety"]["exponents"] = None
@@ -284,9 +289,21 @@ def test_analyze_non_diagonal_variety_is_unsupported(tmp_path):
     code, out, err = run_cli("analyze", str(path))
     assert code == cli.EXIT_INPUT
     assert out == ""
-    assert err == ("unsupported input: unsupported: isolated-singularity "
-                   "check needs the ambient space or a single diagonal "
-                   "hypersurface\n")
+    assert err == UNSUPPORTED_V
+
+
+def test_analyze_two_equation_variety_is_unsupported(tmp_path):
+    # V is rejected before D, whose three equations well_formed cannot
+    # handle, so the message names V's shape
+    doc = json.loads((CONFIG_DIR / "m2.cfg").read_text())
+    doc["variety"] = {"degrees": [8, 4], "exponents": None}
+    doc["divisor"]["degrees"] = [8, 4, 4]
+    path = tmp_path / "m2_two_equations.cfg"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli("analyze", str(path))
+    assert code == cli.EXIT_INPUT
+    assert out == ""
+    assert err == UNSUPPORTED_V
 
 
 @pytest.mark.parametrize("mutate,needle", [

@@ -1,5 +1,7 @@
 """Floating-point Newton projection onto the admissible orbit."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -71,6 +73,21 @@ def test_apply_map_acts_on_columns():
     out = projection.apply_map(g, V)
     assert out.shape == (70, 5)
     assert np.allclose(out, columns, rtol=1e-14, atol=0)
+
+
+def test_newton_tangent_matrix_is_an_exact_integer_product():
+    # _newton_data forms the tangent matrix D = QR as the float product of
+    # the action matrix of the Cayley form and the complement basis W;
+    # integral factors make that product exact
+    action = splits.action_matrix(cayley_form())
+    assert {x for row in action for x in row} <= {-1, 0, 1}
+    data = projection._newton_data()
+    assert np.array_equal(data["W"], np.round(data["W"]))
+    masks = splits.monomial_masks(8, 4)
+    exact = np.array([splits.to_coords(splits.infinitesimal_action(
+        [[Fraction(x) for x in row] for row in A], cayley_form()), masks)
+        for A in data["W"]], dtype=float).T
+    assert np.abs(data["Q"] @ data["R"] - exact).max() <= 1e-12
 
 
 def test_type_projectors_are_orthogonal_resolution():

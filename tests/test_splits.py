@@ -1,5 +1,6 @@
 """Exact type decompositions, stabilizers, and cylinder parameterizations."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -121,6 +122,65 @@ def test_stabilizer_dimensions():
     assert splits.stabilizer_dimension(volume_form(8)).dim == 63  # sl(8)
 
 
+def _wedged_contractions(A, form):
+    """sum_j dx_j ^ (A[:, j] -| form): the derivation dx_i -> sum_j A[i][j]
+    dx_j, computed without the action matrix."""
+    n = form.dimension
+    out = Multivector.zero(n, form.degree)
+    for j in range(n):
+        column = [A[i][j] for i in range(n)]
+        out = out + wedge(Multivector.monomial(n, [j + 1]),
+                          contract(column, form))
+    return out
+
+
+def _rotated_cayley_form(perm, signs, planes):
+    """g.Phi for g = R2 R1 P: P the signed permutation dx_i -> signs[i]
+    dx_perm[i] of determinant +1, R1 and R2 the exact rotations with
+    (cos, sin) = (3/5, 4/5) and (5/13, 12/13) in the two given planes."""
+    inversions = sum(perm[a] > perm[b]
+                     for a, b in itertools.combinations(range(8), 2))
+    assert (-1) ** (inversions + signs.count(-1)) == 1  # det P = +1
+    g = [[Fraction(signs[i]) if j == perm[i] else Fraction(0)
+          for j in range(8)] for i in range(8)]
+    for (cos, sin), (i, j) in zip(((Fraction(3, 5), Fraction(4, 5)),
+                                   (Fraction(5, 13), Fraction(12, 13))),
+                                  planes):
+        r = [[Fraction(int(a == b)) for b in range(8)] for a in range(8)]
+        r[i][i] = r[j][j] = cos
+        r[i][j], r[j][i] = sin, -sin
+        g = [[sum(r[a][k] * g[k][b] for k in range(8)) for b in range(8)]
+             for a in range(8)]
+    images = [Multivector(8, 1, {1 << j: g[i][j] for j in range(8)})
+              for i in range(8)]
+    out = Multivector.zero(8, 4)
+    for mask, coeff in PHI.terms.items():
+        term = Multivector(8, 0, {0: coeff})
+        for i in range(8):
+            if mask >> i & 1:
+                term = wedge(term, images[i])
+        out = out + term
+    return out
+
+
+ROTATED = [_rotated_cayley_form(*case) for case in (
+    ([1, 0, 2, 3, 4, 5, 6, 7], [-1, 1, 1, 1, 1, 1, 1, 1], [(0, 4), (2, 7)]),
+    ([7, 6, 5, 4, 3, 2, 1, 0], [1, -1, 1, 1, 1, -1, 1, 1], [(1, 2), (3, 6)]),
+    ([2, 3, 4, 5, 6, 7, 0, 1], [-1, 1, 1, -1, 1, -1, -1, 1], [(0, 1), (5, 7)]),
+)]
+
+
+@pytest.mark.parametrize("form", ROTATED, ids=["g1", "g2", "g3"])
+def test_stabilizer_and_four_form_split_of_a_rotated_cayley_form(form):
+    assert len(form.terms) > len(PHI.terms)  # the rotations mix terms
+    assert any(c.denominator > 1 for c in form.terms.values())
+    stab = splits.stabilizer_dimension(form)
+    assert stab.dim == 21
+    for A in stab.basis:
+        assert _wedged_contractions(A, form).is_zero()
+    assert splits.four_form_split(form).ranks == (1, 7, 27, 35)
+
+
 def test_infinitesimal_action_is_a_derivation():
     A = [[Fraction(0)] * 8 for _ in range(8)]
     A[0][1] = Fraction(1)
@@ -162,13 +222,8 @@ def test_infinitesimal_action_is_sum_of_wedged_contractions(case):
     # dx_i -> sum_j A[i][j] dx_j acting as a derivation is
     # sum_j dx_j ^ (A[:, j] -| form), with column j of A as the vector.
     A, form = case
-    n = form.dimension
-    expect = Multivector.zero(n, form.degree)
-    for j in range(n):
-        column = [A[i][j] for i in range(n)]
-        expect = expect + wedge(Multivector.monomial(n, [j + 1]),
-                                contract(column, form))
-    assert splits.infinitesimal_action(A, form) == expect
+    assert splits.infinitesimal_action(A, form) == _wedged_contractions(
+        A, form)
 
 
 def test_cylinder_two_form_types():
