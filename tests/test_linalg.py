@@ -1,8 +1,14 @@
-"""Properties of the exact elimination kernel on sparse and dense input."""
+"""Properties of the exact elimination kernel on sparse and dense input,
+and its agreement with a plain Fraction Gauss-Jordan elimination."""
 
 import copy
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,15 +16,21 @@ from spin7 import linalg
 
 MAX_ROWS, MAX_COLS = 12, 16
 
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
 entries = st.builds(Fraction, st.integers(-6, 6),
                     st.sampled_from((1, 2, 3, 5)))
-nonzero = entries.filter(bool)
+# too large to lift modulo 2^31 - 1: the kernel has to retry
+large_entries = st.builds(
+    Fraction, st.integers(2 ** 40, 2 ** 48) | st.integers(-2 ** 48, -2 ** 40),
+    st.integers(2 ** 16 + 1, 2 ** 20))
 
 
 @st.composite
-def matrices(draw):
+def matrices(draw, entries=entries):
     """Rational matrices up to 12 x 16: sparse, dense or a product of
     lower rank, with some rows and columns zeroed."""
+    nonzero = entries.filter(bool)
     nrows = draw(st.integers(1, MAX_ROWS))
     ncols = draw(st.integers(1, MAX_COLS))
     kind = draw(st.sampled_from(("sparse", "dense", "low-rank")))
@@ -41,6 +53,38 @@ def matrices(draw):
         for row in m:
             row[j] = Fraction(0)
     return m
+
+
+def reference_rref(matrix):
+    """The sparse Fraction Gauss-Jordan elimination that ``rref`` replaced:
+    it scales the pivot row once and updates every other row at the pivot
+    row's nonzero columns."""
+    m = [row[:] for row in matrix]
+    nrows = len(m)
+    ncols = len(m[0]) if nrows else 0
+    pivots = []
+    row = 0
+    for col in range(ncols):
+        pivot_row = next((r for r in range(row, nrows) if m[r][col]), None)
+        if pivot_row is None:
+            continue
+        m[row], m[pivot_row] = m[pivot_row], m[row]
+        prow = m[row]
+        nz = [j for j in range(col, ncols) if prow[j]]
+        inv = Fraction(1) / prow[col]
+        for j in nz:
+            prow[j] *= inv
+        for r in range(nrows):
+            target = m[r]
+            factor = target[col]
+            if factor and r != row:
+                for j in nz:
+                    target[j] -= factor * prow[j]
+        pivots.append(col)
+        row += 1
+        if row == nrows:
+            break
+    return m, pivots
 
 
 def mat_vec(matrix, v):
@@ -102,6 +146,30 @@ def test_solve_solves_or_reports_inconsistency(m, data):
             assert mat_vec(m, x) == rhs
 
 
+@settings(max_examples=80, deadline=None)
+@given(matrices() | matrices(large_entries))
+def test_rref_equals_the_reference_elimination(m):
+    assert linalg.rref(m) == reference_rref(m)
+
+
+@pytest.mark.parametrize("matrix, expected", [
+    # zero modulo 2^31 - 1: the rank drops modulo the first prime
+    ([[Fraction(2 ** 31 - 1)]], ([[1]], [0])),
+    ([[Fraction(2 ** 31 - 1), Fraction(1)]], ([[1, Fraction(1, 2 ** 31 - 1)]],
+                                              [0])),
+    # 10^6 and 10^-6 are out of reach of a lift modulo 2^31 - 1
+    ([[Fraction(1, 10 ** 6), Fraction(1)], [Fraction(0), Fraction(0)]],
+     ([[1, 10 ** 6], [0, 0]], [0])),
+    ([[Fraction(10 ** 6), Fraction(1)], [Fraction(3), Fraction(7, 10 ** 6)]],
+     ([[1, 0], [0, 1]], [0, 1])),
+    ([[Fraction(10 ** 6), Fraction(1), Fraction(0)],
+      [Fraction(0), Fraction(1, 10 ** 6), Fraction(1)]],
+     ([[1, 0, -1], [0, 1, 10 ** 6]], [0, 1])),
+])
+def test_rref_retries_where_the_first_prime_fails(matrix, expected):
+    assert linalg.rref(matrix) == expected == reference_rref(matrix)
+
+
 def test_rref_edge_shapes():
     assert linalg.rref([]) == ([], [])
     assert linalg.rank([]) == 0 and linalg.nullspace([]) == []
@@ -111,3 +179,30 @@ def test_rref_edge_shapes():
     one = [[Fraction(0), Fraction(2), Fraction(4)]]
     assert linalg.rref(one) == ([[0, 1, 2]], [1])
     assert linalg.solve([[Fraction(0)]], [Fraction(1)]) is None
+    assert linalg.solve([], []) == []
+
+
+def test_shape_errors():
+    with pytest.raises(ValueError):
+        linalg.solve([[Fraction(1)], [Fraction(2)]], [Fraction(1)])
+    with pytest.raises(ValueError):
+        linalg.solve([[Fraction(1)]], [Fraction(1), Fraction(2)])
+    with pytest.raises(ValueError):
+        linalg.rref([[Fraction(1)], [Fraction(1), Fraction(2)]])
+    with pytest.raises(ValueError):
+        linalg.rref([[Fraction(1), Fraction(2)], [Fraction(1)]])
+
+
+def test_verify_forms_imports_no_numpy():
+    script = ("import sys\n"
+              "import spin7.splits\n"
+              "from spin7 import cli\n"
+              "assert cli.main(['verify-forms']) == 0\n"
+              "assert 'numpy' not in sys.modules\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH")
+                               else []))
+    result = subprocess.run([sys.executable, "-c", script], cwd=ROOT, env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr

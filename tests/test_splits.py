@@ -1,5 +1,6 @@
 """Exact type decompositions, stabilizers, and cylinder parameterizations."""
 
+import hashlib
 import itertools
 from fractions import Fraction
 
@@ -8,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spin7 import splits
-from spin7.forms import (Multivector, cayley_form, contract, g2_phi,
-                         hodge_star, inner, su4_forms, volume_form, wedge)
+from spin7.forms import (Multivector, cayley_form, contract, cylinder_form,
+                         g2_phi, hodge_star, inner, su4_forms, volume_form,
+                         wedge)
 
 
 PHI = cayley_form()
@@ -252,3 +254,147 @@ def test_type_split_rejects_unknown_label():
     split = splits.two_form_split(PHI)
     with pytest.raises(KeyError):
         split.basis("99")
+
+
+def _sha256(rows) -> str:
+    """Digest of a basis given as rows of (index, exact coefficient)."""
+    text = repr([[(k, str(c)) for k, c in row] for row in rows])
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _bases(subject):
+    """Label -> basis (as rows) of every split block and stabilizer basis
+    computed for one subject."""
+    def forms(split, name):
+        return {f"{name} {label}": [sorted(b.terms.items()) for b in basis]
+                for label, basis in split.blocks}
+
+    def stabilizer(form):
+        n = form.dimension
+        return {"stabilizer": [
+            [(i * n + j, A[i][j]) for i in range(n) for j in range(n)
+             if A[i][j]] for A in splits.stabilizer_dimension(form).basis]}
+
+    if subject == "g2_phi":
+        cylinder = splits.cylinder_two_form_types(
+            splits.two_form_split(cylinder_form(g2_phi())))
+        return {**stabilizer(g2_phi()), **forms(cylinder.split, "cylinder")}
+    if subject == "su4":
+        omega, re_theta, _ = su4_forms()
+        return forms(splits.su4_two_form_refinement(omega, re_theta), "su4")
+    phi = {"cayley": PHI, "g1": ROTATED[0], "g2": ROTATED[1],
+           "g3": ROTATED[2]}[subject]
+    return {**forms(splits.two_form_split(phi), "2-form"),
+            **forms(splits.three_form_split(phi), "3-form"),
+            **forms(splits.four_form_split(phi), "4-form"),
+            **stabilizer(phi)}
+
+
+# sha256 of every basis above, recorded with the Fraction elimination
+# kernel: a change of kernel must leave every basis exactly the same
+BASIS_SHA256 = {
+    "cayley": {
+        "2-form 7":
+            "06027fffe237154616493581467f651abba23a9a67212f0126ba073c67885d07",
+        "2-form 21":
+            "2f394677f11d4e00b8db20ddfe143d463a4facb3a3b22e1224bbc2579cb60c0c",
+        "3-form 8":
+            "3d93a76c670a8c11a674d0355a97930fab676b15fa4e6b077ee91322633f56a1",
+        "3-form 48":
+            "cc77b38a57553114f3d5a3019c28c195db05113b031d0f431bc0b6a2d6ff2c9b",
+        "4-form 1":
+            "71d64b23cb633925d9ecd176f49c8c5dc65481d1eaa33a554f404bc25b1a04bd",
+        "4-form 7":
+            "a4b4f98398e1eb96717b6fff00ad70f360986670053fd44da65591a7f2524059",
+        "4-form 27":
+            "1ab7829330b61cab7e905493c09ec0bac6384e74e139afb54d28db7f3376d8fa",
+        "4-form 35":
+            "aeedf9264efd9645e9ab8ca8c637a601b590c22c5c85e924c03c1ce294915235",
+        "stabilizer":
+            "4cf31ff3787fc3eb71d53b7d4f3d0d3a2126968ffb728a384fd2f373653c578d",
+    },
+    "g1": {
+        "2-form 7":
+            "394870a40df0b0b55f0add464db846cc8b8c600122f37a3f91c258b204302600",
+        "2-form 21":
+            "6621090dfc7a4c81b03f2973e5d2981e1d590f37c183c1349c8d7653fedb2121",
+        "3-form 8":
+            "93c0086b5e254b0e177a17ef22e356040247955514dc35d43650b7d1332e51fc",
+        "3-form 48":
+            "ddf009c99c28d54e8acb0711fad36a79bd5d29773ca18204f29d4700581b513a",
+        "4-form 1":
+            "a17c4c30cd547f14e372814449a6bac1675c22bbbf79df28d29976475120567c",
+        "4-form 7":
+            "e860055b3c23f3b6d9e6ebb2cf783823bc52dbe66ae348ca8079f5e81b98e91d",
+        "4-form 27":
+            "00af2121dd2373f2e5add588c9a1cddd7dea7967d6df815822464ef444eac0b8",
+        "4-form 35":
+            "aeedf9264efd9645e9ab8ca8c637a601b590c22c5c85e924c03c1ce294915235",
+        "stabilizer":
+            "91355e888624d4188313e910afb82cd4cf7412572339c7cb9a8ae599fc5f43bf",
+    },
+    "g2": {
+        "2-form 7":
+            "22721a53395c971079aaeeff77dec12aa14baeb1ea37ac1ec9104b52f9d67ddf",
+        "2-form 21":
+            "ae907dc00ae9f920425c8f23297f7e6916c12d1f0cc41684d162deeff3a4a441",
+        "3-form 8":
+            "1a1862bac640bcda6b7068fe25ec4ad7197e4bce7cc15d039fe241031cf7e2b6",
+        "3-form 48":
+            "0bf236daed46e843ad501849d59c1da13a3949206507e404953d8ee83d0bc42b",
+        "4-form 1":
+            "c566d29f4ac970b0abf7f9ae4e263b87ef7c0cf2e6efbca822825c65c0515740",
+        "4-form 7":
+            "b3431225ee3156c08778d7b28a1e6a57eb56ebb5e9cc289a9ad9864cab683d97",
+        "4-form 27":
+            "bf92a089f174c701d178c1c078e82599881d3ca9258f559e2c1722966dc54e73",
+        "4-form 35":
+            "aeedf9264efd9645e9ab8ca8c637a601b590c22c5c85e924c03c1ce294915235",
+        "stabilizer":
+            "f84da88bee9de54fbd8687b973f3a698f60a783029e6766e14a5416084d86a89",
+    },
+    "g3": {
+        "2-form 7":
+            "7555691b26d6322e6a6d57174a1acc48ced892442b8ccb4ef838636d565c2e87",
+        "2-form 21":
+            "cd67d386ba14a48c51948a5dfdae19bf8759cb3103b7ceb0f2350efac5a25ac2",
+        "3-form 8":
+            "3db594e817cf88569cdc7feea51e8ed4acd25eb2bd406f1ac721a18202825080",
+        "3-form 48":
+            "4d3cc22c130f92653d75ca5a8e9ed67402c9755e1095993cb0e4b47c2dcbef02",
+        "4-form 1":
+            "c4499c677b822d0c92462065faf924aec232f9ef4ba63f5f40172dc2ddce0858",
+        "4-form 7":
+            "838ea8a95556af1727628d8dc36ba30a752287c47e03dcec3e3f5ac2ed2ce750",
+        "4-form 27":
+            "37ccd76357b167209c5196f14198599360f22cce11b1175e4f47dd70674188f1",
+        "4-form 35":
+            "aeedf9264efd9645e9ab8ca8c637a601b590c22c5c85e924c03c1ce294915235",
+        "stabilizer":
+            "c9169ca45ccb1fe46cef216efd258a1d2e590a8f4bd7978c7a5bd85dcd953f8f",
+    },
+    "g2_phi": {
+        "stabilizer":
+            "1205fbe1e6b3088b48b71869b7042adbccec34fdc2c35e37bc9e3ad7a12b55ba",
+        "cylinder 7":
+            "8f1d732acac6fb3812656e222c0035b92a124deb584a92a4215dc86cf570aaeb",
+        "cylinder 21":
+            "2f394677f11d4e00b8db20ddfe143d463a4facb3a3b22e1224bbc2579cb60c0c",
+    },
+    "su4": {
+        "su4 1":
+            "5361fe13e0b22babc5815e95f1102f6725416121e383fd4c0d720bb3a3fcf1be",
+        "su4 6+":
+            "cf0f75854d691f01a0e9ef3935b8bb98689c0fa83762be448b66b6d550d2ec3a",
+        "su4 6-":
+            "4b3bf99ceb540d4665d85973f48a53bdec2e0f653e8a9cb4b03a15166fe4c15d",
+        "su4 15":
+            "c6e6807faea5feb9a745de02e1170f8aba7954acf7ce1dd5fdac6878b6bd5fff",
+    },
+}
+
+
+@pytest.mark.parametrize("subject", list(BASIS_SHA256))
+def test_bases_are_pinned(subject):
+    assert {label: _sha256(rows) for label, rows in
+            _bases(subject).items()} == BASIS_SHA256[subject]
