@@ -81,7 +81,8 @@ class Multivector:
                     raise ValueError("index mask out of range")
                 if bin(mask).count("1") != degree:
                     raise ValueError("mask degree mismatch")
-                c = Fraction(coeff)
+                # a Fraction is immutable: keep it rather than copy it
+                c = coeff if type(coeff) is Fraction else Fraction(coeff)
                 if c:
                     clean[mask] = c
         object.__setattr__(self, "dimension", dimension)
@@ -226,9 +227,12 @@ def wedge(a: Multivector, b: Multivector) -> Multivector:
         for mb, cb in b.terms.items():
             if ma & mb:
                 continue
-            sign = merge_sign(ma, mb)
+            c = ca * cb
+            if merge_sign(ma, mb) < 0:
+                c = -c
             m = ma | mb
-            acc[m] = acc.get(m, Fraction(0)) + sign * ca * cb
+            prev = acc.get(m)
+            acc[m] = c if prev is None else prev + c
     return Multivector(n, degree, acc)
 
 
@@ -243,7 +247,7 @@ def hodge_star(a: Multivector) -> Multivector:
     acc: dict[int, Fraction] = {}
     for m, c in a.terms.items():
         comp = full ^ m
-        acc[comp] = merge_sign(m, comp) * c
+        acc[comp] = c if merge_sign(m, comp) > 0 else -c
     return Multivector(n, n - a.degree, acc)
 
 

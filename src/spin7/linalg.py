@@ -1,7 +1,9 @@
 """Exact linear algebra over the rationals.
 
-Matrices are lists of rows of ``Fraction`` (``int`` entries work too) with
-at most 70 columns, the space of 4-forms on R^8.  ``rref`` is the one
+Matrices are lists of rows whose entries are ``int`` or ``Fraction``, with
+at most 70 columns, the space of 4-forms on R^8.  In every result a nonzero
+entry is a ``Fraction`` and a zero is the int ``0``, so callers test and
+skip zeros without ``Fraction`` arithmetic.  ``rref`` is the one
 elimination kernel; ``rank``, ``nullspace`` and ``solve`` read its result.
 It eliminates modulo a prime and certifies the result in exact integers:
 
@@ -33,10 +35,10 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
 
-Matrix = list[list[Fraction]]
-Vector = list[Fraction]
+# entries are int or Fraction; zeros in results are the int 0
+Matrix = list[list[int | Fraction]]
+Vector = list[int | Fraction]
 
-_ZERO = Fraction(0)
 # exponents e of Mersenne primes 2^e - 1, each about twice the one before
 _MERSENNE_EXPONENTS = (
     31, 61, 127, 521, 1279, 2203, 4423, 9689, 19937, 44497, 86243, 216091,
@@ -45,7 +47,7 @@ _MERSENNE_EXPONENTS = (
 
 
 def zeros(nrows: int, ncols: int) -> Matrix:
-    return [[_ZERO] * ncols for _ in range(nrows)]
+    return [[0] * ncols for _ in range(nrows)]
 
 
 def _integer_rows(matrix: Matrix) -> list[list[tuple[int, int]]]:
@@ -208,10 +210,12 @@ def nullspace(matrix: Matrix) -> list[Vector]:
     free = [j for j in range(ncols) if j not in pivot_set]
     basis = []
     for f in free:
-        v = [_ZERO] * ncols
+        v = [0] * ncols
         v[f] = Fraction(1)
         for i, p in enumerate(pivots):
-            v[p] = -reduced[i][f]
+            x = reduced[i][f]
+            if x:
+                v[p] = -x
         basis.append(v)
     return basis
 
@@ -229,7 +233,7 @@ def solve(matrix: Matrix, rhs: Vector) -> Vector | None:
     ncols = len(matrix[0])
     if ncols in pivots:
         return None  # pivot in the augmented column
-    x = [_ZERO] * ncols
+    x = [0] * ncols
     for i, p in enumerate(pivots):
         x[p] = reduced[i][ncols]
     return x

@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from spin7.forms import (
     Multivector, contract, cylinder_form, g2_split, hodge_star, inner,
@@ -28,9 +29,6 @@ from spin7.linalg import Matrix, Vector
 
 class AdmissibilityError(ValueError):
     """The supplied form does not define the expected structure."""
-
-
-_ZERO = Fraction(0)
 
 
 # ---------------------------------------------------------------------------
@@ -49,8 +47,10 @@ def monomial_masks(n: int, r: int) -> list[int]:
 
 
 def to_coords(a: Multivector, masks: list[int]) -> Vector:
+    """Coefficients of ``a`` on the monomials ``masks``; the int 0 where
+    ``a`` has no term."""
     lookup = a.terms
-    return [lookup.get(m, _ZERO) for m in masks]
+    return [lookup.get(m, 0) for m in masks]
 
 
 def from_coords(v: Vector, masks: list[int], n: int, r: int) -> Multivector:
@@ -78,26 +78,29 @@ def action_matrix(form: Multivector) -> Matrix:
     """Exact matrix of the derivation action A -> A.form of gl(n).
 
     Row k belongs to the k-th degree-r monomial and column i*n + j to the
-    elementary matrix E_ij, which replaces dx_i by dx_j.
+    elementary matrix E_ij, which replaces dx_i by dx_j.  Every nonzero
+    entry is plus or minus a coefficient of the form, so it is picked from
+    (c, -c) by sign and never multiplied.
     """
     n = form.dimension
     row_of = {m: k for k, m in enumerate(monomial_masks(n, form.degree))}
     matrix = linalg.zeros(len(row_of), n * n)
     for mask, coeff in form.terms.items():
+        pair = (coeff, -coeff)
         for i in range(n):
             bit_i = 1 << i
             if not mask & bit_i:
                 continue
             # replacing dx_i by dx_j: move dx_i to the front, swap, sort back
             rest = mask ^ bit_i
-            signed = merge_sign(bit_i, rest) * coeff
+            sign_i = merge_sign(bit_i, rest)
             for j in range(n):
                 bit_j = 1 << j
                 if rest & bit_j:
                     continue  # a repeated index kills the term
                 # (row, column) determine the source mask: one term each
-                matrix[row_of[rest | bit_j]][i * n + j] = (
-                    merge_sign(bit_j, rest) * signed)
+                matrix[row_of[rest | bit_j]][i * n + j] = pair[
+                    sign_i * merge_sign(bit_j, rest) < 0]
     return matrix
 
 
@@ -106,7 +109,7 @@ def infinitesimal_action(A: Matrix, form: Multivector) -> Multivector:
     the action matrix applied to the n*n entries of A."""
     n, r = form.dimension, form.degree
     entries = [a for row in A for a in row]
-    coords = [sum((c * a for c, a in zip(row, entries) if c and a), _ZERO)
+    coords = [sum((c * a for c, a in zip(row, entries) if c and a), 0)
               for row in action_matrix(form)]
     return from_coords(coords, monomial_masks(n, r), n, r)
 
@@ -210,6 +213,16 @@ def three_form_split(phi: Multivector) -> TypeSplit:
                      (("8", tuple(contractions)), ("48", tuple(complement))))
 
 
+@lru_cache(maxsize=1)
+def _anti_self_dual_block() -> tuple[Multivector, ...]:
+    """The rank-35 block of every 4-form split: the -1 eigenspace of the
+    Euclidean Hodge star on 4-forms, which does not depend on Phi.
+    Computed on first use and shared by every split."""
+    (anti,) = _eigenspaces(hodge_star, 8, 4, (-1,))
+    assert len(anti) == 35  # ** = 1 on 4-forms on R^8, trace of * is 0
+    return tuple(anti)
+
+
 def four_form_split(phi: Multivector) -> TypeSplit:
     """Split 4-forms on R^8 into ranks (1, 7, 27, 35).
 
@@ -226,14 +239,14 @@ def four_form_split(phi: Multivector) -> TypeSplit:
         raise AdmissibilityError(
             "form not admissible here: Phi must be self-dual for the "
             "Euclidean metric")
-    (anti,) = _eigenspaces(hodge_star, 8, 4, (-1,))
-    if len(anti) != 35:
-        raise AdmissibilityError("anti-self-dual block does not have rank 35")
+    anti = _anti_self_dual_block()
 
     masks = monomial_masks(8, 4)
     action = action_matrix(phi)
-    # the generators E_ij - E_ji of so(8), i < j
-    orbit_rows = [[row[i * 8 + j] - row[j * 8 + i] for row in action]
+    # the generators E_ij - E_ji of so(8), i < j.  E_ij only reaches
+    # monomials with dx_j and without dx_i, E_ji the others, so at most one
+    # of the two entries is nonzero and no subtraction is needed
+    orbit_rows = [[row[i * 8 + j] or -row[j * 8 + i] for row in action]
                   for i, j in itertools.combinations(range(8), 2)]
     reduced, pivots = linalg.rref(orbit_rows)
     block7 = [from_coords(reduced[i], masks, 8, 4) for i in range(len(pivots))]
@@ -253,7 +266,7 @@ def four_form_split(phi: Multivector) -> TypeSplit:
         ("1", (phi,)),
         ("7", tuple(block7)),
         ("27", tuple(block27)),
-        ("35", tuple(anti)),
+        ("35", anti),
     ))
 
 

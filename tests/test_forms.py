@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spin7 import splits
 from spin7.forms import (Multivector, cayley_form, contract, cylinder_form,
                          format_form, g2_phi, g2_split, hodge_star, inner,
                          parse_form, su4_forms, volume_form, wedge)
@@ -125,6 +126,27 @@ def test_immutability():
     a = cayley_form()
     with pytest.raises(AttributeError):
         a.degree = 3
+
+
+class _Tagged(Fraction):
+    """A Fraction subclass, which a form must not keep as it is."""
+
+
+@pytest.mark.parametrize("kind", [int, Fraction, _Tagged])
+def test_coefficients_are_stored_as_fractions(kind):
+    a = Multivector(4, 2, {0b0011: kind(2), 0b0101: kind(0),
+                           0b1100: kind(-3)})
+    assert a.terms == {0b0011: 2, 0b1100: -3}  # the zero is dropped
+    assert all(type(c) is Fraction for c in a.terms.values())
+
+
+def test_from_coords_reads_int_and_fraction_zeros_alike():
+    masks = splits.monomial_masks(4, 2)
+    values = [Fraction(1, 2), 0, Fraction(-3), 0, 0, Fraction(5, 7)]
+    with_fraction_zeros = [Fraction(v) for v in values]
+    a = splits.from_coords(values, masks, 4, 2)
+    assert a == splits.from_coords(with_fraction_zeros, masks, 4, 2)
+    assert list(a.terms) == [masks[0], masks[2], masks[5]]
 
 
 # ---------------------------------------------------------------------------

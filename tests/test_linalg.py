@@ -152,6 +152,33 @@ def test_rref_equals_the_reference_elimination(m):
     assert linalg.rref(m) == reference_rref(m)
 
 
+def _exact(entries) -> bool:
+    """Every nonzero entry is a Fraction and every zero the int 0."""
+    return all(type(x) is Fraction if x else type(x) is int for x in entries)
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices(st.integers(-6, 6)), st.data())
+def test_results_do_not_depend_on_the_input_number_types(m, data):
+    ints = [[int(x) for x in row] for row in m]
+    fractions = [[Fraction(x) for x in row] for row in m]
+    reduced, pivots = linalg.rref(ints)
+    assert (reduced, pivots) == linalg.rref(fractions)
+    assert all(_exact(row) for row in reduced)
+    kernel = linalg.nullspace(ints)
+    assert kernel == linalg.nullspace(fractions)
+    assert all(_exact(v) for v in kernel)
+    ncols = len(m[0])
+    y = data.draw(st.lists(st.integers(-6, 6), min_size=ncols,
+                           max_size=ncols))
+    arbitrary = data.draw(st.lists(st.integers(-6, 6), min_size=len(m),
+                                   max_size=len(m)))
+    for rhs in ([int(b) for b in mat_vec(ints, y)], arbitrary):
+        x = linalg.solve(ints, rhs)
+        assert x == linalg.solve(fractions, [Fraction(b) for b in rhs])
+        assert x is None or _exact(x)
+
+
 @pytest.mark.parametrize("matrix, expected", [
     # zero modulo 2^31 - 1: the rank drops modulo the first prime
     ([[Fraction(2 ** 31 - 1)]], ([[1]], [0])),

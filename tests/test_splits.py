@@ -398,3 +398,28 @@ BASIS_SHA256 = {
 def test_bases_are_pinned(subject):
     assert {label: _sha256(rows) for label, rows in
             _bases(subject).items()} == BASIS_SHA256[subject]
+
+
+# sha256 of the action matrix of each form, as rows of (column, exact
+# entry) over the nonzero entries, recorded with the entries computed as
+# merge_sign products: picking them from (c, -c) must give the same matrix
+ACTION_SHA256 = {
+    "cayley":
+        "366fb78a5bf3b6f5d6f4ffbf5f71314243e8864ab81a4d9b92315e83e612cf2d",
+    "g1": "39d84985a6ba7dd9a5cd5dafd481d27538399701eb020708e826dc1500c7155a",
+    "g2": "d3abf5983ba69abd993fc032a2901b2c0fb9ad80d9ec8f6147758d7c90b19db8",
+    "g3": "78dddb00200732fd913e609f001780c0a5b1a308507ade25c09ca6db1963ddf9",
+}
+
+
+@pytest.mark.parametrize("name, form", zip(ACTION_SHA256, [PHI, *ROTATED]))
+def test_action_matrix_is_pinned(name, form):
+    matrix = splits.action_matrix(form)
+    assert _sha256([[(k, c) for k, c in enumerate(row) if c]
+                    for row in matrix]) == ACTION_SHA256[name]
+
+
+def test_anti_self_dual_block_is_computed_once():
+    # the rank-35 block does not depend on Phi: every split shares it
+    assert (splits.four_form_split(PHI).basis("35")
+            is splits.four_form_split(ROTATED[0]).basis("35"))
