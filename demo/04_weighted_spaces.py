@@ -41,7 +41,7 @@ def main():
     v = CompleteIntersectionDatum(space6, (8,), (8, 8, 8, 8, 2, 2))
     iso6 = wps.isolated_z4_check(v)
     print("a diagonal octic in (1,1,1,1,4,4):")
-    print(f"  quasismooth: {wps.diagonal_quasismooth(v)[0]}; "
+    print(f"  quasismooth: {wps.diagonal_quasismooth(v)}; "
           f"isolated order-4 points: k = {iso6.k}")
     print()
 

@@ -24,6 +24,28 @@ EXIT_MATH = 1
 EXIT_INPUT = 2
 
 
+def render(sections, fmt: str) -> str:
+    """Render a command's result in ``fmt``, ``table`` or ``structured``.
+
+    A result is a list of ``(heading, items)`` sections, and an item is a
+    ``(label, key, value)`` triple.  The table prints each heading, then
+    ``  <label><value>`` for each item with a label; the structured format
+    prints ``<key> = <value>`` for each item with a key, and writes a tuple
+    value comma-separated.
+    """
+    lines = []
+    for heading, items in sections:
+        if fmt == "table":
+            lines.append(heading)
+            lines += [f"  {label}{value}" for label, _, value in items
+                      if label is not None]
+        else:
+            lines += [f"{key} = {','.join(map(str, value))}"
+                      if type(value) is tuple else f"{key} = {value}"
+                      for _, key, value in items if key is not None]
+    return "\n".join(lines)
+
+
 # ---------------------------------------------------------------------------
 # verify-forms
 # ---------------------------------------------------------------------------
@@ -131,29 +153,24 @@ def _newton_probes(tolerance: float):
     return lines, ok_all
 
 
+def _outcomes(key: str, results) -> list:
+    """Items for (description, passed) pairs, keyed ``<key>.pass|fail``."""
+    return [(f"[{'pass' if ok else 'FAIL'}] ",
+             f"{key}.{'pass' if ok else 'fail'}", name)
+            for name, ok in results]
+
+
 def cmd_verify_forms(args) -> int:
     results = list(_identity_suite(inject_sign_flip=args.inject_sign_flip))
     failed = [name for name, ok in results if not ok]
-    out = []
-    if args.format == "structured":
-        for name, ok in results:
-            out.append(f"identity.{'pass' if ok else 'fail'} = {name}")
-    else:
-        out.append("exact identity suite:")
-        for name, ok in results:
-            out.append(f"  [{'pass' if ok else 'FAIL'}] {name}")
+    sections = [("exact identity suite:", _outcomes("identity", results))]
     if args.with_newton:
         lines, newton_ok = _newton_probes(args.tolerance)
-        if args.format == "structured":
-            for desc, ok in lines:
-                out.append(f"newton.{'pass' if ok else 'fail'} = {desc}")
-        else:
-            out.append("Newton projection probes:")
-            for desc, ok in lines:
-                out.append(f"  [{'pass' if ok else 'FAIL'}] {desc}")
+        sections.append(("Newton projection probes:",
+                         _outcomes("newton", lines)))
         if not newton_ok:
             failed.append("Newton projection probes")
-    print("\n".join(out))
+    print(render(sections, args.format))
     if failed:
         print(f"{len(failed)} check(s) failed", file=sys.stderr)
         return EXIT_MATH
@@ -164,69 +181,53 @@ def cmd_verify_forms(args) -> int:
 # analyze
 # ---------------------------------------------------------------------------
 
+def _invariants_section(r) -> tuple:
+    return ("invariants:", [
+        ("b1(Y) = ", "b1_Y", r.b1_Y),
+        ("b2(Y) = ", "b2_Y", r.b2_Y),
+        ("b3(Y) = ", "b3_Y", r.b3_Y),
+        ("b1(M) = ", None, r.b_low_M[0]),
+        ("b2(M) = ", None, r.b_low_M[1]),
+        ("b3(M) = ", None, r.b_low_M[2]),
+        ("b4_0(M) = ", "b4_0", r.b4_0),
+        ("b4(M) = ", "b4", r.b4),
+        ("b4_plus(M) = ", "b4_plus", r.b4_plus),
+        ("b4_minus(M) = ", "b4_minus", r.b4_minus),
+        ("moduli dimension = ", "moduli_dimension", r.moduli_dimension),
+        ("holonomy = ", "holonomy", r.holonomy),
+    ])
+
+
 def invariant_block(report) -> str:
     """The deterministic block of computed invariants (identical for any
     two configurations producing the same manifold)."""
-    lines = [
-        "invariants:",
-        f"  b1(Y) = {report.b1_Y}",
-        f"  b2(Y) = {report.b2_Y}",
-        f"  b3(Y) = {report.b3_Y}",
-        f"  b1(M) = {report.b_low_M[0]}",
-        f"  b2(M) = {report.b_low_M[1]}",
-        f"  b3(M) = {report.b_low_M[2]}",
-        f"  b4_0(M) = {report.b4_0}",
-        f"  b4(M) = {report.b4}",
-        f"  b4_plus(M) = {report.b4_plus}",
-        f"  b4_minus(M) = {report.b4_minus}",
-        f"  moduli dimension = {report.moduli_dimension}",
-        f"  holonomy = {report.holonomy}",
-    ]
-    return "\n".join(lines)
+    return render([_invariants_section(report)], "table")
 
 
 def render_analysis(result, fmt: str) -> str:
-    r, d = result.report, result.data
-    if fmt == "structured":
-        lines = [f"name = {result.config.name}"]
-        lines += [f"override = {name.removeprefix('override ')}: {note}"
-                  for name, note in result.checks
-                  if name.startswith("override ")]
-        lines += [
-            f"chi_orb_V = {result.chi_V.chi_orb}",
-            f"chi_V = {result.chi_V.chi_top}",
-            f"h31_V = {d.h31_V}",
-            f"chi_D = {d.chi_D}",
-            f"h21_D = {d.h21_D}",
-            f"k = {d.k}",
-        ]
-        for i, s in enumerate(d.sigma):
-            lines.append(f"sigma{i}_chi = {s.chi}")
-            lines.append(f"sigma{i}_pg = {s.p_g}")
-            lines.append(f"sigma{i}_multiplicity = {s.multiplicity}")
-        lines += [
-            f"b1_Y = {r.b1_Y}", f"b2_Y = {r.b2_Y}", f"b3_Y = {r.b3_Y}",
-            f"b4_0 = {r.b4_0}", f"b4 = {r.b4}",
-            f"b4_plus = {r.b4_plus}", f"b4_minus = {r.b4_minus}",
-            f"moduli_dimension = {r.moduli_dimension}",
-            f"holonomy = {r.holonomy}",
-        ]
-        return "\n".join(lines)
-    lines = [f"configuration: {result.config.name}", "checks:"]
-    for name, note in result.checks:
-        lines.append(f"  {name}: {note}")
-    lines.append("intermediate values:")
-    lines.append(f"  chi_orb(V) = {result.chi_V.chi_orb}")
-    lines.append(f"  chi(V) = {result.chi_V.chi_top}")
-    lines.append(f"  h31(V) = {d.h31_V}")
-    lines.append(f"  chi(D) = {d.chi_D}")
-    lines.append(f"  h21(D) = {d.h21_D}")
-    lines.append(f"  k = {d.k}")
+    d = result.data
+    values = [
+        ("chi_orb(V) = ", "chi_orb_V", result.chi_V.chi_orb),
+        ("chi(V) = ", "chi_V", d.chi_V),
+        ("h31(V) = ", "h31_V", d.h31_V),
+        ("chi(D) = ", "chi_D", d.chi_D),
+        ("h21(D) = ", "h21_D", d.h21_D),
+        ("k = ", "k", d.k),
+    ]
     for i, s in enumerate(d.sigma):
-        lines.append(f"  sigma[{i}]: chi = {s.chi}, p_g = {s.p_g}, "
-                     f"multiplicity = {s.multiplicity}")
-    lines.append(invariant_block(r))
-    return "\n".join(lines)
+        values += [(f"sigma[{i}]: ", None, f"chi = {s.chi}, p_g = {s.p_g}, "
+                                           f"multiplicity = {s.multiplicity}"),
+                   (None, f"sigma{i}_chi", s.chi),
+                   (None, f"sigma{i}_pg", s.p_g),
+                   (None, f"sigma{i}_multiplicity", s.multiplicity)]
+    name = result.config.name
+    return render([
+        (f"configuration: {name}", [(None, "name", name)]),
+        ("checks:", [(f"{check}: ", None, note)
+                     for check, note in result.checks]),
+        ("intermediate values:", values),
+        _invariants_section(result.report),
+    ], fmt)
 
 
 def cmd_analyze(args) -> int:
@@ -264,28 +265,26 @@ def cmd_analyze(args) -> int:
 # scan
 # ---------------------------------------------------------------------------
 
+def _scan_items(candidates):
+    """Two items per candidate, made lazily: a scan can have 10^4 of them."""
+    for c in candidates:
+        if c.accepted:
+            yield c.weights, None, ": accepted"
+            yield None, "candidate.accepted", c.weights
+        else:
+            yield c.weights, None, f": rejected: {'; '.join(c.reasons)}"
+            yield None, "candidate.rejected", c.weights
+
+
 def cmd_scan(args) -> int:
     from spin7 import wps
     candidates = wps.scan_admissible(args.max_weight, args.ambient_dim)
-    lines = []
-    if args.format == "structured":
-        for c in candidates:
-            status = "accepted" if c.accepted else "rejected"
-            weight_text = ",".join(str(w) for w in c.weights)
-            lines.append(f"candidate.{status} = {weight_text}")
-    else:
-        lines.append(f"scan: ambient dimension {args.ambient_dim}, "
-                     f"max weight {args.max_weight}")
-        for c in candidates:
-            if c.accepted:
-                lines.append(f"  {c.weights}: accepted")
-            else:
-                lines.append(f"  {c.weights}: rejected: "
-                             + "; ".join(c.reasons))
-        accepted = [c for c in candidates if c.accepted]
-        lines.append(f"{len(accepted)} candidate(s) accepted "
-                     f"of {len(candidates)}")
-    print("\n".join(lines))
+    accepted = sum(c.accepted for c in candidates)
+    print(render([
+        (f"scan: ambient dimension {args.ambient_dim}, "
+         f"max weight {args.max_weight}", _scan_items(candidates)),
+        (f"{accepted} candidate(s) accepted of {len(candidates)}", []),
+    ], args.format))
     return EXIT_OK
 
 

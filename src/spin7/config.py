@@ -15,9 +15,7 @@ Configurations are JSON documents.  Schema (all coordinates 0-based):
     "h11": int                       # h^{1,1}(D), default 1 (Lefschetz)
   },
   "sigma": [                         # components of the self-intersection
-    {"degrees": [int, ...], "multiplicity": int,
-     "weights": [int, ...] | absent  # gcd 1; defaults to the ambient
-    }, ...
+    {"degrees": [int, ...], "multiplicity": int}, ...
   ],
   "involution": {
     "permutation": [int, ...],
@@ -27,8 +25,7 @@ Configurations are JSON documents.  Schema (all coordinates 0-based):
     {"name": str,
      "terms": [{"exponents": [int, ...], "coeff": str}, ...]}, ...
   ],
-  "assume_simply_connected": bool,   # smooth locus etc.; not machine-checked
-  "overrides": {"chi_V": int, "h31_V": int}  # optional, testing only
+  "assume_simply_connected": bool    # smooth locus etc.; not machine-checked
 }
 
 Every object rejects a key the schema does not list.
@@ -49,10 +46,7 @@ first failing check raises ``AdmissibilityFailure`` with its reasons:
 V must be the ambient space or a single diagonal hypersurface.
 ``wps.isolated_z4_check`` decides this once, right after
 ``well-formed (V)`` and before D is looked at, and raises
-``wps.UnsupportedError`` for any other V.  Each applied override then
-adds an entry ``override chi_V`` or ``override h31_V`` whose note reads
-``<value> replaces computed <value>``; the structured CLI format prints
-these entries as ``override = ...`` lines.
+``wps.UnsupportedError`` for any other V.
 """
 
 from __future__ import annotations
@@ -78,7 +72,6 @@ class AdmissibilityFailure(ValueError):
 
 @dataclass(frozen=True)
 class SigmaSpec:
-    weights: tuple[int, ...]
     degrees: tuple[int, ...]
     multiplicity: int
 
@@ -97,7 +90,6 @@ class Configuration:
     involution: wps.InvolutionDatum
     polynomials: tuple[tuple[str, wps.Polynomial], ...]
     assume_simply_connected: bool
-    overrides: dict[str, int]
 
     def variety_datum(self) -> wps.CompleteIntersectionDatum:
         return wps.CompleteIntersectionDatum(
@@ -149,7 +141,7 @@ def load_config(text: str) -> Configuration:
         raise SchemaError(f"not valid JSON: {exc}") from None
     _object(doc, "top level", {
         "name", "ambient_weights", "variety", "divisor", "sigma",
-        "involution", "polynomials", "assume_simply_connected", "overrides"})
+        "involution", "polynomials", "assume_simply_connected"})
     for field in ("name", "ambient_weights", "variety", "divisor", "sigma",
                   "involution"):
         _require(field in doc, f"missing field: {field}")
@@ -178,22 +170,15 @@ def load_config(text: str) -> Configuration:
              "sigma must be a nonempty list")
     sigma = []
     for i, s in enumerate(sigma_docs):
-        _object(s, f"sigma[{i}]", {"weights", "degrees", "multiplicity"})
-        s_weights = weights
-        if "weights" in s:
-            s_weights = _positive_list(s["weights"], f"sigma[{i}].weights")
-            try:
-                wps.WeightedSpace(s_weights)  # gcd 1: a weight system
-            except ValueError as exc:
-                raise SchemaError(f"sigma[{i}].weights: {exc}") from None
+        _object(s, f"sigma[{i}]", {"degrees", "multiplicity"})
         s_degrees = _positive_list(s.get("degrees", []),
                                    f"sigma[{i}].degrees")
         mult = s.get("multiplicity", 1)
         _require(_is_int(mult) and mult >= 1,
                  f"sigma[{i}].multiplicity must be a positive integer")
-        _require(len(s_weights) - 1 - len(s_degrees) == 2,
+        _require(n1 - 1 - len(s_degrees) == 2,
                  f"sigma[{i}] must describe a surface")
-        sigma.append(SigmaSpec(s_weights, s_degrees, mult))
+        sigma.append(SigmaSpec(s_degrees, mult))
 
     inv_doc = _object(doc["involution"], "involution",
                       {"permutation", "phase_powers"})
@@ -235,11 +220,6 @@ def load_config(text: str) -> Configuration:
     simply_connected = doc.get("assume_simply_connected", True)
     _require(isinstance(simply_connected, bool),
              "assume_simply_connected must be true or false")
-    overrides = doc.get("overrides", {})
-    _require(isinstance(overrides, dict)
-             and set(overrides) <= {"chi_V", "h31_V"}
-             and all(_is_int(v) for v in overrides.values()),
-             "overrides may set integers chi_V and h31_V only")
 
     try:
         config = Configuration(
@@ -253,7 +233,6 @@ def load_config(text: str) -> Configuration:
             involution=involution,
             polynomials=tuple(polys),
             assume_simply_connected=simply_connected,
-            overrides=dict(overrides),
         )
         config.variety_datum()  # validates weights/degrees/exponents
         config.divisor_datum()
@@ -280,8 +259,7 @@ def dump_config(config: Configuration) -> str:
             "h11": config.divisor_h11,
         },
         "sigma": [
-            {"weights": list(s.weights), "degrees": list(s.degrees),
-             "multiplicity": s.multiplicity}
+            {"degrees": list(s.degrees), "multiplicity": s.multiplicity}
             for s in config.sigma
         ],
         "involution": {
@@ -295,7 +273,6 @@ def dump_config(config: Configuration) -> str:
             for name, poly in config.polynomials
         ],
         "assume_simply_connected": config.assume_simply_connected,
-        "overrides": config.overrides,
     }
     return json.dumps(doc, indent=2) + "\n"
 
@@ -310,7 +287,7 @@ class AnalysisResult:
 
     config: Configuration
     checks: tuple[tuple[str, str], ...]   # (check name, outcome note)
-    chi_V: charnum.ChiResult               # as computed, before overrides
+    chi_V: charnum.ChiResult               # orbifold and topological chi(V)
     data: invariants.OrbifoldConfiguration
     report: invariants.InvariantReport
 
@@ -340,8 +317,8 @@ def analyze(config: Configuration) -> AnalysisResult:
     check("well-formed (D)", (f"well-formedness of D: {v}"
                               for v in wps.well_formed(divisor)[1]))
 
-    qs_ok, qs_note = wps.diagonal_quasismooth(variety)
-    check("quasismooth (V)", () if qs_ok else [f"quasismoothness: {qs_note}"])
+    wps.diagonal_quasismooth(variety)
+    check("quasismooth (V)", ())
     empty = () if iso.k else ("the singular locus is empty",)
     check("isolated Z4 singularities",
           (f"singularities: {r}" for r in iso.reasons or empty))
@@ -371,22 +348,17 @@ def analyze(config: Configuration) -> AnalysisResult:
     else:
         h31 = 0  # the ambient space has rational cohomology generated
         # in degree 2, so no (3,1)-classes
-    computed = {"chi_V": chi_v.chi_top, "h31_V": h31}
-    for key, value in config.overrides.items():
-        check(f"override {key}", (),
-              f"{value} replaces computed {computed[key]}")
-    computed.update(config.overrides)
 
     chi_d = charnum.euler_characteristics(
         space.weights, config.divisor_degrees).chi_top
     sigma = []
     for s in config.sigma:
-        chi_s, _, pg_s = charnum.noether_pg(s.weights, s.degrees)
+        chi_s, _, pg_s = charnum.noether_pg(space.weights, s.degrees)
         sigma.append(invariants.SigmaComponent(chi_s, pg_s, s.multiplicity))
 
     data = invariants.OrbifoldConfiguration(
-        chi_V=computed["chi_V"],
-        h31_V=computed["h31_V"],
+        chi_V=chi_v.chi_top,
+        h31_V=h31,
         chi_D=chi_d,
         h21_D=charnum.cy3_hodge_from_chi(chi_d, config.divisor_h11),
         k=iso.k,

@@ -39,7 +39,6 @@ def test_load_dump_round_trip_is_canonical():
     (lambda d: d.__setitem__("sigma", []), "nonempty"),
     (lambda d: d["sigma"][0].__setitem__("degrees", [8]), "surface"),
     (lambda d: d["involution"].__setitem__("permutation", [0, 1]), "match"),
-    (lambda d: d.__setitem__("overrides", {"b4": 1}), "overrides"),
     (lambda d: d["polynomials"][0]["terms"][0].__setitem__("coeff", "?"),
      "literal"),
     # booleans must be JSON booleans, and JSON booleans are not integers
@@ -55,17 +54,7 @@ def test_load_dump_round_trip_is_canonical():
                  "h11", id="h11-true"),
     pytest.param(lambda d: d["sigma"][0].__setitem__("multiplicity", True),
                  "multiplicity", id="multiplicity-true"),
-    pytest.param(lambda d: d.__setitem__("overrides", {"chi_V": True}),
-                 "overrides", id="override-true"),
     # out-of-range numbers are schema errors, not crashes or late failures
-    pytest.param(lambda d: d["sigma"][0].__setitem__("weights",
-                                                     [1, 1, 1, 1, 0]),
-                 "sigma\\[0\\].weights must be a list of positive",
-                 id="sigma-weight-zero"),
-    pytest.param(lambda d: d["sigma"][0].__setitem__("weights",
-                                                     [2, 2, 2, 2, 4]),
-                 "sigma\\[0\\].weights: weights must have gcd 1",
-                 id="sigma-weights-gcd-two"),
     pytest.param(lambda d: d["sigma"][0].__setitem__("degrees", [8, -8]),
                  "sigma\\[0\\].degrees must be a list of positive",
                  id="sigma-degree-negative"),
@@ -80,7 +69,14 @@ def test_load_dump_round_trip_is_canonical():
     pytest.param(lambda d: d["divisor"].__setitem__("degrees", [4, 2, 2]),
                  "extend variety.degrees by exactly one degree",
                  id="divisor-three-degrees"),
-    # every nested object rejects keys the schema does not list
+    # every object rejects keys the schema does not list
+    pytest.param(lambda d: d.__setitem__("overrides", {"chi_V": 6}),
+                 "top level: unknown fields \\['overrides'\\]",
+                 id="overrides-unknown"),
+    pytest.param(lambda d: d["sigma"][0].__setitem__("weights",
+                                                     [1, 1, 1, 1, 4]),
+                 "sigma\\[0\\]: unknown fields \\['weights'\\]",
+                 id="sigma-weights-unknown"),
     pytest.param(
         lambda d: d["variety"].__setitem__("certified_quasismooth", True),
         "variety: unknown fields \\['certified_quasismooth'\\]",
@@ -221,39 +217,12 @@ def _with_weights_and_divisor(weights, degrees):
     pytest.param(_with_weights_and_divisor([1, 1, 1, 1, 1], [5]),
                  "singularities: the singular locus is empty",
                  id="empty-singular-locus"),
-    pytest.param(lambda d: d.__setitem__("overrides", {"h31_V": 1000}),
-                 "b4_- = 1200 exceeds b4_0 = 688; configuration data is "
-                 "inconsistent", id="b4-minus-exceeds-b4-0"),
 ])
 def test_analyze_rejection_paths(mutate, reason, tmp_path):
     code, out, err = run_cli("analyze", _m1_mutation(mutate, tmp_path))
     assert code == cli.EXIT_MATH
     assert out == ""
     assert err == f"configuration rejected (m1):\n  {reason}\n"
-
-
-def test_analyze_reports_an_applied_override(tmp_path):
-    path = _m1_mutation(lambda d: d.__setitem__("overrides", {"chi_V": 7}),
-                        tmp_path)
-    code, out, err = run_cli("analyze", path)
-    assert code == cli.EXIT_OK, err
-    assert "b4(M) = 840" in out
-    checks = out[out.index("checks:"):out.index("intermediate values:")]
-    assert checks.splitlines()[-1] == "  override chi_V: 7 replaces computed 5"
-
-
-def test_structured_analysis_reports_each_applied_override(tmp_path):
-    path = _m1_mutation(
-        lambda d: d.__setitem__("overrides", {"chi_V": 7, "h31_V": 0}),
-        tmp_path)
-    code, out, err = run_cli("analyze", path, "--format", "structured")
-    assert code == cli.EXIT_OK, err
-    assert "b4 = 840" in out and "chi_V = 5" in out
-    assert [line for line in out.splitlines()
-            if line.startswith("override")] == [
-        "override = chi_V: 7 replaces computed 5",
-        "override = h31_V: 0 replaces computed 0",
-    ]
 
 
 def test_analyze_input_errors_exit_two(tmp_path):

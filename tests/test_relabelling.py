@@ -23,7 +23,6 @@ DOCS = {name: json.loads((CONFIG_DIR / f"{name}.cfg").read_text())
 def relabel(doc: dict, perm: list[int]) -> dict:
     """The configuration whose coordinate k is coordinate perm[k] of doc,
     carried through every field that indexes coordinates."""
-    n1 = len(perm)
     position = {old: new for new, old in enumerate(perm)}
 
     def permuted(values):
@@ -42,9 +41,6 @@ def relabel(doc: dict, perm: list[int]) -> dict:
     for poly in out.get("polynomials", []):
         for term in poly["terms"]:
             term["exponents"] = permuted(term["exponents"])
-    for s in out["sigma"]:
-        if len(s.get("weights", ())) == n1:  # weights of the ambient space
-            s["weights"] = permuted(s["weights"])
     return out
 
 
