@@ -265,15 +265,17 @@ def cmd_analyze(args) -> int:
 # scan
 # ---------------------------------------------------------------------------
 
-def _scan_items(candidates):
-    """Two items per candidate, made lazily: a scan can have 10^4 of them."""
+def _scan_items(candidates, fmt: str):
+    """The item that ``fmt`` prints for each candidate, made lazily: a scan
+    can have 10^4 of them."""
     for c in candidates:
-        if c.accepted:
+        if fmt != "table":
+            yield (None, "candidate.accepted" if c.accepted
+                   else "candidate.rejected", c.weights)
+        elif c.accepted:
             yield c.weights, None, ": accepted"
-            yield None, "candidate.accepted", c.weights
         else:
             yield c.weights, None, f": rejected: {'; '.join(c.reasons)}"
-            yield None, "candidate.rejected", c.weights
 
 
 def cmd_scan(args) -> int:
@@ -282,7 +284,8 @@ def cmd_scan(args) -> int:
     accepted = sum(c.accepted for c in candidates)
     print(render([
         (f"scan: ambient dimension {args.ambient_dim}, "
-         f"max weight {args.max_weight}", _scan_items(candidates)),
+         f"max weight {args.max_weight}",
+         _scan_items(candidates, args.format)),
         (f"{accepted} candidate(s) accepted of {len(candidates)}", []),
     ], args.format))
     return EXIT_OK

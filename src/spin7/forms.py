@@ -34,14 +34,7 @@ def _mask_of(indices: Iterable[int], n: int) -> int:
 
 
 def _indices_of(mask: int) -> tuple[int, ...]:
-    out = []
-    i = 1
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return tuple(out)
+    return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 def merge_sign(mask_a: int, mask_b: int) -> int:
@@ -88,6 +81,17 @@ class Multivector:
         object.__setattr__(self, "dimension", dimension)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "terms", clean)
+
+    @classmethod
+    def _trusted(cls, dimension: int, degree: int,
+                 terms: dict[int, Fraction]) -> "Multivector":
+        """A form from terms that are valid by construction, with no check:
+        masks of the right range and degree, nonzero ``Fraction`` values."""
+        form = object.__new__(cls)
+        object.__setattr__(form, "dimension", dimension)
+        object.__setattr__(form, "degree", degree)
+        object.__setattr__(form, "terms", terms)
+        return form
 
     def __setattr__(self, *_):
         raise AttributeError("Multivector is immutable")
@@ -171,38 +175,33 @@ class Multivector:
 
     # -- linear operations --------------------------------------------
 
-    def _check_additive(self, other: "Multivector"):
+    def __add__(self, other: "Multivector") -> "Multivector":
         if not isinstance(other, Multivector):
             raise TypeError("expected a Multivector")
         if self.dimension != other.dimension:
             raise ValueError("dimension mismatch")
         if self.degree != other.degree:
             raise ValueError("cannot add forms of different degree")
-
-    def __add__(self, other: "Multivector") -> "Multivector":
-        self._check_additive(other)
         acc = dict(self.terms)
         for m, c in other.terms.items():
-            acc[m] = acc.get(m, Fraction(0)) + c
-        return Multivector(self.dimension, self.degree, acc)
+            prev = acc.get(m)
+            acc[m] = c if prev is None else prev + c
+        return Multivector._trusted(self.dimension, self.degree,
+                                    {m: c for m, c in acc.items() if c})
 
     def __sub__(self, other: "Multivector") -> "Multivector":
-        self._check_additive(other)
-        acc = dict(self.terms)
-        for m, c in other.terms.items():
-            acc[m] = acc.get(m, Fraction(0)) - c
-        return Multivector(self.dimension, self.degree, acc)
+        return self + -other
 
     def __neg__(self) -> "Multivector":
-        return Multivector(self.dimension, self.degree,
-                           {m: -c for m, c in self.terms.items()})
+        return Multivector._trusted(self.dimension, self.degree,
+                                    {m: -c for m, c in self.terms.items()})
 
     def __mul__(self, scalar: Scalar) -> "Multivector":
         if not isinstance(scalar, Rational):
             return NotImplemented
         s = Fraction(scalar)
-        return Multivector(self.dimension, self.degree,
-                           {m: c * s for m, c in self.terms.items()})
+        return Multivector._trusted(self.dimension, self.degree, {
+            m: c * s for m, c in self.terms.items()} if s else {})
 
     __rmul__ = __mul__
 
@@ -233,7 +232,7 @@ def wedge(a: Multivector, b: Multivector) -> Multivector:
             m = ma | mb
             prev = acc.get(m)
             acc[m] = c if prev is None else prev + c
-    return Multivector(n, degree, acc)
+    return Multivector._trusted(n, degree, {m: c for m, c in acc.items() if c})
 
 
 def hodge_star(a: Multivector) -> Multivector:
@@ -248,7 +247,7 @@ def hodge_star(a: Multivector) -> Multivector:
     for m, c in a.terms.items():
         comp = full ^ m
         acc[comp] = c if merge_sign(m, comp) > 0 else -c
-    return Multivector(n, n - a.degree, acc)
+    return Multivector._trusted(n, n - a.degree, acc)
 
 
 def contract(v, a: Multivector) -> Multivector:
@@ -272,9 +271,10 @@ def contract(v, a: Multivector) -> Multivector:
             if not m & bit:
                 continue
             m2 = m ^ bit
-            acc[m2] = (acc.get(m2, Fraction(0))
+            acc[m2] = (acc.get(m2, 0)
                        + merge_sign(bit, m2) * vk * c)
-    return Multivector(n, a.degree - 1, acc)
+    return Multivector._trusted(n, a.degree - 1,
+                                {m: c for m, c in acc.items() if c})
 
 
 def inner(a: Multivector, b: Multivector) -> Fraction:

@@ -1,23 +1,26 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals, on sparse rows.
 
-Matrices are lists of rows whose entries are ``int`` or ``Fraction``, with
-at most 70 columns, the space of 4-forms on R^8.  In every result a nonzero
-entry is a ``Fraction`` and a zero is the int ``0``, so callers test and
-skip zeros without ``Fraction`` arithmetic.  ``rref`` is the one
-elimination kernel; ``rank``, ``nullspace`` and ``solve`` read its result.
-It eliminates modulo a prime and certifies the result in exact integers:
+A ``Row`` is a pair ``(entries, denominator)``: ``entries`` lists
+``(column, int)`` pairs with nonzero ints, each column at most once, and
+the row holds ``x / denominator`` at each listed column and zero elsewhere.
+The rows that ``echelon`` and ``kernel`` return list their columns in
+increasing order and share one positive denominator.  Matrices have at most
+70 columns, the space of 4-forms on R^8.  ``echelon`` is the one
+elimination kernel; it eliminates modulo a prime and certifies the result
+in exact integers:
 
-1. each row is scaled by the lcm of its denominators into an integer row,
-   which keeps the row space and so the reduced row echelon form;
-2. Gauss-Jordan elimination modulo p = 2^31 - 1 scales the pivot row once
-   and updates every other row only at the pivot row's nonzero columns (the
-   matrices of the splits are mostly zeros);
+1. a row and its numerators span the same line, so denominators play no
+   part in the elimination;
+2. Gauss-Jordan elimination modulo p = 2^31 - 1 takes the rows one at a
+   time into a reduced basis of sparse rows, keyed by pivot column;
 3. each nonzero residue of the reduced rows is lifted to the fraction n/d
    with |n|, d <= sqrt(p/2) that it represents, by Wang's rational
    reconstruction (Wang 1981; Monagan, ISSAC 2004);
 4. the lifted rows R are accepted only if ``D a == sum_k a[pivot_k] S_k``
-   holds in integers for every input row a, where D is the lcm of the lifted
-   denominators and S = D R.
+   holds in integers for every input row a, where D is the lcm of the
+   lifted denominators and S = D R.  As S[i][pivot_k] = D if i = k and 0
+   otherwise, it holds at the pivot columns by construction, and only the
+   free columns are compared.
 
 The rank modulo p is at most the rank over Q, and the identity puts every
 input row in the span of R's rows, so R is *the* reduced row echelon form,
@@ -28,6 +31,10 @@ Modulo that prime every minor is nonzero exactly when it is nonzero, and
 every entry of the reduced form is a ratio of two minors, so that run cannot
 fail.  The doubling steps stop much earlier on dense rational input, whose
 reduced form needs far fewer bits than the Hadamard bound allows.
+
+``rref``, ``rank``, ``nullspace`` and ``solve`` are dense adapters over the
+same kernel, on lists of ``int`` or ``Fraction`` entries.  In every dense
+result a nonzero entry is a ``Fraction`` and a zero is the int ``0``.
 """
 
 from __future__ import annotations
@@ -35,7 +42,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
 
-# entries are int or Fraction; zeros in results are the int 0
+# (column, nonzero numerator) pairs and one positive denominator
+Row = tuple[list[tuple[int, int]], int]
+# dense entries are int or Fraction; zeros in results are the int 0
 Matrix = list[list[int | Fraction]]
 Vector = list[int | Fraction]
 
@@ -46,81 +55,43 @@ _MERSENNE_EXPONENTS = (
     136279841)
 
 
-def zeros(nrows: int, ncols: int) -> Matrix:
-    return [[0] * ncols for _ in range(nrows)]
+def row(entries) -> Row:
+    """The row of (column, rational) pairs with nonzero int or
+    ``Fraction`` values, over the lcm of their denominators."""
+    d = lcm(*[x.denominator for _, x in entries])
+    return [(j, x.numerator * (d // x.denominator)) for j, x in entries], d
 
 
-def _integer_rows(matrix: Matrix) -> list[list[tuple[int, int]]]:
-    """The nonzero rows, each scaled by the lcm of its denominators, as
-    (column, integer) pairs."""
-    rows = []
-    for row in matrix:
-        entries = [(j, x) for j, x in enumerate(row) if x]
-        if entries:
-            scale = lcm(*[x.denominator for _, x in entries])
-            rows.append([(j, x.numerator * (scale // x.denominator))
-                         for j, x in entries])
-    return rows
-
-
-def _moduli(rows: list[list[tuple[int, int]]]):
-    """Mersenne primes of about doubling size, from 2^31 - 1 up to the first
-    above 2 H^2, where the elimination cannot fail."""
-    bound = None
-    for e in _MERSENNE_EXPONENTS:
-        yield (1 << e) - 1
-        # reached only after a failure
-        bound = bound or 2 * prod(sum(x * x for _, x in row) for row in rows)
-        if (1 << e) - 1 > bound:
-            return
-
-
-def _eliminate(rows: list[list[tuple[int, int]]], ncols: int,
-               p: int) -> tuple[list[list[int]], list[int]]:
-    """Reduced rows modulo the prime p and their pivot columns."""
-    m = []
-    for pairs in rows:
-        dense = [0] * ncols
-        for j, x in pairs:
-            dense[j] = x % p
-        m.append(dense)
-    nrows = len(m)
-    pivots: list[int] = []
-    rank = 0
-    for col in range(ncols):
-        pivot_row = None
-        for r in range(rank, nrows):
-            if m[r][col]:
-                pivot_row = r
-                break
-        if pivot_row is None:
+def _eliminate(rows: list[Row], p: int) -> dict[int, dict[int, int]]:
+    """The reduced rows modulo the prime p, by pivot column.  The pivot
+    entry 1 is left out, so each row maps free columns to residues."""
+    basis: dict[int, dict[int, int]] = {}
+    for entries, _ in rows:
+        r = {j: x % p for j, x in entries}
+        # basis rows hold no pivot column: reducing r at one pivot column
+        # adds no other
+        for col in [j for j in r if j in basis]:
+            f = r.pop(col)
+            for j, x in basis[col].items():
+                r[j] = (r.get(j, 0) - f * x) % p
+        r = {j: x for j, x in r.items() if x}
+        if not r:
             continue
-        m[rank], m[pivot_row] = m[pivot_row], m[rank]
-        prow = m[rank]
-        # left of col the pivot row is zero: earlier pivot columns are
-        # cleared and earlier free columns are zero below the pivot rows
-        inv = pow(prow[col], -1, p)
-        nz = []
-        for j in range(col, ncols):
-            if prow[j]:
-                prow[j] = prow[j] * inv % p
-                nz.append((j, prow[j]))
-        for r in range(nrows):
-            target = m[r]
-            if target[col] and r != rank:
-                factor = p - target[col]
-                for j, x in nz:
-                    target[j] = (target[j] + factor * x) % p
-        pivots.append(col)
-        rank += 1
-        if rank == nrows:
-            break
-    return m[:rank], pivots
+        col = min(r)
+        inv = pow(r.pop(col), -1, p)
+        r = {j: x * inv % p for j, x in r.items()}
+        for b in basis.values():
+            f = b.pop(col, 0)
+            if f:
+                for j, x in r.items():
+                    b[j] = (b.get(j, 0) - f * x) % p
+        basis[col] = r
+    return basis
 
 
-def _lift(u: int, p: int, bound: int) -> Fraction | None:
-    """The fraction n/d with |n|, d <= bound and n = u d mod p (Wang's
-    rational reconstruction), or None if there is none."""
+def _lift(u: int, p: int, bound: int) -> tuple[int, int] | None:
+    """(n, d) with |n|, d <= bound, d > 0, gcd(n, d) = 1 and n = u d mod p
+    (Wang's rational reconstruction), or None if there is none."""
     r0, r1, s0, s1 = p, u, 0, 1
     while r1 > bound:
         q = r0 // r1
@@ -128,96 +99,117 @@ def _lift(u: int, p: int, bound: int) -> Fraction | None:
         s0, s1 = s1, s0 - q * s1
     if abs(s1) > bound or gcd(r1, s1) != 1:
         return None
-    return Fraction(r1, s1)
+    return (r1, s1) if s1 > 0 else (-r1, -s1)
 
 
-def _certified_rref(rows: list[list[tuple[int, int]]], ncols: int,
-                    p: int) -> tuple[list[list[tuple[int, Fraction]]],
-                                     list[int]] | None:
-    """The nonzero rows of the reduced row echelon form as (column,
-    fraction) pairs, and the pivot columns, if the elimination modulo p
-    lifts to a certified result; otherwise None."""
-    reduced, pivots = _eliminate(rows, ncols, p)
+def _certified(rows: list[Row], p: int
+               ) -> tuple[list[int], list[list[tuple[int, int]]], int] | None:
+    """The pivot columns, the free part of S = D R for each reduced row R
+    and D, if the elimination modulo p lifts to a certified result;
+    otherwise None."""
+    basis = _eliminate(rows, p)
+    pivots = sorted(basis)
     bound = isqrt((p - 1) // 2)
-    lifted: dict[int, Fraction | None] = {}  # few distinct residues occur
-    out = []
-    for row, col in zip(reduced, pivots):
-        pairs = []
-        for j in range(col, ncols):
-            u = row[j]
-            if u:
-                if u not in lifted:
-                    lifted[u] = _lift(u, p, bound)
-                x = lifted[u]
-                if x is None:
-                    return None
-                pairs.append((j, x))
-        out.append(pairs)
-    # the certificate D a == sum_k a[pivot_k] S_k, with S = D R integral
-    scale = lcm(*[x.denominator for x in lifted.values()])
-    scaled = [[(j, x.numerator * (scale // x.denominator)) for j, x in pairs]
-              for pairs in out]
-    for pairs in rows:
-        a = dict(pairs)
+    # few distinct residues occur
+    lifted = {u: _lift(u, p, bound)
+              for u in {u for r in basis.values() for u in r.values() if u}}
+    if None in lifted.values():
+        return None
+    scale = lcm(*[d for _, d in lifted.values()])
+    scaled = {u: n * (scale // d) for u, (n, d) in lifted.items()}
+    free = [[(j, scaled[u]) for j, u in sorted(basis[col].items()) if u]
+            for col in pivots]
+    # the certificate D a == sum_k a[pivot_k] S_k at the free columns
+    position = {col: k for k, col in enumerate(pivots)}
+    for entries, _ in rows:
         combination: dict[int, int] = {}
-        for col, s_row in zip(pivots, scaled):
-            c = a.get(col)
-            if c:
-                for j, s in s_row:
-                    combination[j] = combination.get(j, 0) + c * s
-        if {j: v for j, v in combination.items() if v} != {
-                j: scale * x for j, x in pairs}:
+        expected = {}
+        for col, x in entries:
+            k = position.get(col)
+            if k is None:
+                expected[col] = scale * x
+            else:
+                for j, s in free[k]:
+                    combination[j] = combination.get(j, 0) + x * s
+        if {j: v for j, v in combination.items() if v} != expected:
             return None
-    return out, pivots
+    return pivots, free, scale
+
+
+def _reduce(rows: list[Row]):
+    """``_certified`` modulo Mersenne primes of about doubling size, from
+    2^31 - 1 up to the first above 2 H^2, where it cannot fail."""
+    bound = None
+    for e in _MERSENNE_EXPONENTS:
+        result = _certified(rows, (1 << e) - 1)
+        if result is not None:
+            return result
+        bound = bound or 2 * prod(sum(x * x for _, x in entries)
+                                  for entries, _ in rows if entries)
+        if (1 << e) - 1 > bound:
+            break
+    raise OverflowError(
+        "entries too large: no listed Mersenne prime exceeds 2 H^2")
+
+
+def echelon(rows: list[Row]) -> tuple[list[Row], list[int]]:
+    """The nonzero rows of the reduced row echelon form and their pivot
+    columns (exact)."""
+    pivots, free, scale = _reduce(rows)
+    return ([([(col, scale), *pairs], scale)
+             for col, pairs in zip(pivots, free)], pivots)
+
+
+def kernel(rows: list[Row], ncols: int) -> list[Row]:
+    """Basis of the right kernel of rows with ``ncols`` columns (exact),
+    one vector per free column f, with 1 at f and 0 at the other free
+    columns."""
+    pivots, free, scale = _reduce(rows)
+    # row k is zero left of its pivot, so column f holds entries only of
+    # rows whose pivot is left of f: appending (f, D) keeps them in order
+    columns: list[list[tuple[int, int]]] = [[] for _ in range(ncols)]
+    for col, pairs in zip(pivots, free):
+        for j, s in pairs:
+            columns[j].append((col, -s))
+    pivot_set = set(pivots)
+    return [(columns[f] + [(f, scale)], scale)
+            for f in range(ncols) if f not in pivot_set]
+
+
+def dense(r: Row, ncols: int) -> Vector:
+    """A row as a list of ``ncols`` entries: Fractions and int zeros."""
+    entries, d = r
+    out: Vector = [0] * ncols
+    for j, x in entries:
+        out[j] = Fraction(x, d)
+    return out
+
+
+def _rows(matrix: Matrix) -> tuple[list[Row], int]:
+    """The rows of a dense matrix, and its number of columns."""
+    ncols = len(matrix[0]) if matrix else 0
+    if any(len(r) != ncols for r in matrix):
+        raise ValueError("rows of different lengths")
+    return [row([(j, x) for j, x in enumerate(r) if x]) for r in matrix], ncols
 
 
 def rref(matrix: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form and pivot column indices (exact); the
     zero rows come last."""
-    nrows = len(matrix)
-    ncols = len(matrix[0]) if nrows else 0
-    if any(len(row) != ncols for row in matrix):
-        raise ValueError("rows of different lengths")
-    rows = _integer_rows(matrix)
-    for p in _moduli(rows):
-        result = _certified_rref(rows, ncols, p)
-        if result is not None:
-            break
-    else:
-        raise OverflowError(
-            "entries too large: no listed Mersenne prime exceeds 2 H^2")
-    nonzero, pivots = result
-    reduced = zeros(nrows, ncols)
-    for row, pairs in zip(reduced, nonzero):
-        for j, x in pairs:
-            row[j] = x
-    return reduced, pivots
+    rows, ncols = _rows(matrix)
+    reduced, pivots = echelon(rows)
+    return ([dense(r, ncols) for r in reduced]
+            + [[0] * ncols for _ in range(len(matrix) - len(pivots))], pivots)
 
 
 def rank(matrix: Matrix) -> int:
-    if not matrix:
-        return 0
-    return len(rref(matrix)[1])
+    return len(echelon(_rows(matrix)[0])[1])
 
 
 def nullspace(matrix: Matrix) -> list[Vector]:
-    """Basis of the right kernel (exact)."""
-    if not matrix:
-        return []
-    ncols = len(matrix[0])
-    reduced, pivots = rref(matrix)
-    pivot_set = set(pivots)
-    free = [j for j in range(ncols) if j not in pivot_set]
-    basis = []
-    for f in free:
-        v = [0] * ncols
-        v[f] = Fraction(1)
-        for i, p in enumerate(pivots):
-            x = reduced[i][f]
-            if x:
-                v[p] = -x
-        basis.append(v)
-    return basis
+    """Basis of the right kernel (exact); none for the empty matrix."""
+    rows, ncols = _rows(matrix)
+    return [dense(v, ncols) for v in kernel(rows, ncols)]
 
 
 def solve(matrix: Matrix, rhs: Vector) -> Vector | None:
@@ -228,12 +220,14 @@ def solve(matrix: Matrix, rhs: Vector) -> Vector | None:
             f"right-hand side has {len(rhs)} entries for {len(matrix)} rows")
     if not matrix:
         return []
-    aug = [row[:] + [b] for row, b in zip(matrix, rhs)]
-    reduced, pivots = rref(aug)
-    ncols = len(matrix[0])
+    rows, width = _rows([r + [b] for r, b in zip(matrix, rhs)])
+    ncols = width - 1
+    reduced, pivots = echelon(rows)
     if ncols in pivots:
         return None  # pivot in the augmented column
-    x = [0] * ncols
-    for i, p in enumerate(pivots):
-        x[p] = reduced[i][ncols]
+    x: Vector = [0] * ncols
+    for (entries, d), col in zip(reduced, pivots):
+        j, b = entries[-1]  # the augmented column is the last
+        if j == ncols:
+            x[col] = Fraction(b, d)
     return x

@@ -86,9 +86,8 @@ def apply_map(g: np.ndarray, v: np.ndarray) -> np.ndarray:
     cols = v.reshape(70, -1)
     t = np.zeros((8 ** 4, cols.shape[1]))
     t[_SCATTER_FLAT] = _SCATTER_SIGN[:, None] * cols[_SCATTER_SOURCE]
-    t = t.reshape(8, 8, 8, 8, -1)
     for _ in range(4):  # each contraction moves the new slot to the end
-        t = np.tensordot(t, g, axes=(0, 0))
+        t = t.reshape(8, -1).T @ g
     return t.reshape(-1, 8 ** 4)[:, _GATHER_FLAT].T.reshape(v.shape)
 
 
@@ -104,11 +103,11 @@ def _newton_data() -> dict:
     assert len(complement) == 43
     W = np.array(complement, dtype=float).reshape(43, 8, 8)
 
-    masks = _MASKS
     # tangent directions of the orbit at phi0, the 70 x 43 matrix D = QR.
     # The action matrix of phi0 has entries 0, +-1 and the complement basis
     # W is integral, so this float product is the exact D.
-    D = np.array(splits.action_matrix(phi0), dtype=float) @ W.reshape(43, 64).T
+    action = [linalg.dense(r, 64) for r in splits.action_matrix(phi0)]
+    D = np.array(action, dtype=float) @ W.reshape(43, 64).T
     Q, R = np.linalg.qr(D)
     P_tan = Q @ Q.T
 
@@ -116,8 +115,7 @@ def _newton_data() -> dict:
     projectors = {}
     for label in ("1", "7", "27", "35"):
         basis = split4.basis(label)
-        B = np.array([splits.to_coords(b, masks) for b in basis],
-                     dtype=float).T
+        B = np.array([form_to_array(b) for b in basis]).T
         Qb, _ = np.linalg.qr(B)
         projectors[label] = Qb @ Qb.T
 

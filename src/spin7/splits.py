@@ -24,7 +24,7 @@ from spin7.forms import (
     merge_sign, wedge,
 )
 from spin7 import linalg
-from spin7.linalg import Matrix, Vector
+from spin7.linalg import Matrix, Row
 
 
 class AdmissibilityError(ValueError):
@@ -35,83 +35,94 @@ class AdmissibilityError(ValueError):
 # coordinates on the monomial basis
 # ---------------------------------------------------------------------------
 
-def monomial_masks(n: int, r: int) -> list[int]:
+@lru_cache(maxsize=None)
+def monomial_masks(n: int, r: int) -> tuple[int, ...]:
     """Bitmasks of the degree-r monomial basis, in increasing mask order."""
-    masks = []
-    for combo in itertools.combinations(range(n), r):
-        mask = 0
-        for i in combo:
-            mask |= 1 << i
-        masks.append(mask)
-    return sorted(masks)
+    return tuple(sorted(sum(1 << i for i in combo)
+                        for combo in itertools.combinations(range(n), r)))
 
 
-def to_coords(a: Multivector, masks: list[int]) -> Vector:
-    """Coefficients of ``a`` on the monomials ``masks``; the int 0 where
-    ``a`` has no term."""
-    lookup = a.terms
-    return [lookup.get(m, 0) for m in masks]
+@lru_cache(maxsize=None)
+def _columns(n: int, r: int) -> dict[int, int]:
+    """Column of each degree-r monomial mask."""
+    return {m: k for k, m in enumerate(monomial_masks(n, r))}
 
 
-def from_coords(v: Vector, masks: list[int], n: int, r: int) -> Multivector:
-    return Multivector(n, r, {m: c for m, c in zip(masks, v) if c})
+def to_coords(a: Multivector) -> Row:
+    """The coefficients of ``a`` on the monomial basis, as a row."""
+    columns = _columns(a.dimension, a.degree)
+    return linalg.row([(columns[m], c) for m, c in a.terms.items()])
 
 
-def operator_matrix(op, n: int, r_in: int, r_out: int) -> Matrix:
-    """Matrix of a linear map Lambda^r_in -> Lambda^r_out in monomial bases."""
-    in_masks = monomial_masks(n, r_in)
-    out_masks = monomial_masks(n, r_out)
-    cols = []
-    for m in in_masks:
-        image = op(Multivector(n, r_in, {m: 1}))
-        cols.append(to_coords(image, out_masks))
-    # transpose: entry [i][j] = coefficient of out basis i in op(in basis j)
-    return [[cols[j][i] for j in range(len(in_masks))]
-            for i in range(len(out_masks))]
+def from_coords(v: Row, n: int, r: int) -> Multivector:
+    """The degree-r form on R^n with coefficients ``v`` on the monomial
+    basis."""
+    masks = monomial_masks(n, r)
+    entries, d = v
+    return Multivector._trusted(n, r, {masks[j]: Fraction(x, d)
+                                       for j, x in entries})
+
+
+def operator_matrix(op, n: int, r_in: int, r_out: int) -> list[Row]:
+    """Rows of a linear map Lambda^r_in -> Lambda^r_out in monomial bases:
+    entry (i, j) is the coefficient of out monomial i in op(in monomial j)."""
+    columns = _columns(n, r_out)
+    rows: list[list] = [[] for _ in columns]
+    for j, m in enumerate(monomial_masks(n, r_in)):
+        for mask, c in op(Multivector(n, r_in, {m: 1})).terms.items():
+            rows[columns[mask]].append((j, c))
+    return [linalg.row(entries) for entries in rows]
 
 
 # ---------------------------------------------------------------------------
 # infinitesimal gl(n) action
 # ---------------------------------------------------------------------------
 
-def action_matrix(form: Multivector) -> Matrix:
-    """Exact matrix of the derivation action A -> A.form of gl(n).
+@lru_cache(maxsize=None)
+def _monomial_action(n: int, mask: int) -> tuple[tuple[int, int, bool], ...]:
+    """(row, column, negated) of each entry of the action matrix of the
+    monomial dx_mask, all +-1: one per E_ij that replaces a dx_i of the
+    monomial by a dx_j it lacks (a repeated index kills the term).  The
+    sign moves dx_i to the front, swaps it for dx_j and sorts back."""
+    columns = _columns(n, mask.bit_count())
+    return tuple(
+        (columns[rest | 1 << j], i * n + j,
+         merge_sign(1 << i, rest) * merge_sign(1 << j, rest) < 0)
+        for i in range(n) if mask >> i & 1
+        for rest in (mask ^ 1 << i,)
+        for j in range(n) if not rest >> j & 1)
+
+
+def action_matrix(form: Multivector) -> list[Row]:
+    """Exact rows of the derivation action A -> A.form of gl(n).
 
     Row k belongs to the k-th degree-r monomial and column i*n + j to the
-    elementary matrix E_ij, which replaces dx_i by dx_j.  Every nonzero
-    entry is plus or minus a coefficient of the form, so it is picked from
-    (c, -c) by sign and never multiplied.
+    elementary matrix E_ij, which replaces dx_i by dx_j.  A (row, column)
+    pair determines the source monomial, so every nonzero entry is plus or
+    minus one coefficient of the form: it is picked from (c, -c) by sign
+    and never multiplied.  The rows share the lcm of the form's
+    denominators and list their columns in no particular order.
     """
     n = form.dimension
-    row_of = {m: k for k, m in enumerate(monomial_masks(n, form.degree))}
-    matrix = linalg.zeros(len(row_of), n * n)
-    for mask, coeff in form.terms.items():
-        pair = (coeff, -coeff)
-        for i in range(n):
-            bit_i = 1 << i
-            if not mask & bit_i:
-                continue
-            # replacing dx_i by dx_j: move dx_i to the front, swap, sort back
-            rest = mask ^ bit_i
-            sign_i = merge_sign(bit_i, rest)
-            for j in range(n):
-                bit_j = 1 << j
-                if rest & bit_j:
-                    continue  # a repeated index kills the term
-                # (row, column) determine the source mask: one term each
-                matrix[row_of[rest | bit_j]][i * n + j] = pair[
-                    sign_i * merge_sign(bit_j, rest) < 0]
-    return matrix
+    rows: list[list[tuple[int, int]]] = [
+        [] for _ in monomial_masks(n, form.degree)]
+    terms, d = linalg.row(list(form.terms.items()))  # integer coefficients
+    for mask, c in terms:
+        pair = (c, -c)
+        for row, col, negated in _monomial_action(n, mask):
+            rows[row].append((col, pair[negated]))
+    return [(r, d) for r in rows]
 
 
 def infinitesimal_action(A: Matrix, form: Multivector) -> Multivector:
     """Derivation action of A in gl(n) on a form, dx_i -> sum_j A[i][j] dx_j:
     the action matrix applied to the n*n entries of A."""
     n, r = form.dimension, form.degree
-    entries = [a for row in A for a in row]
-    coords = [sum((c * a for c, a in zip(row, entries) if c and a), 0)
-              for row in action_matrix(form)]
-    return from_coords(coords, monomial_masks(n, r), n, r)
+    flat = [a for row in A for a in row]
+    masks = monomial_masks(n, r)
+    return Multivector(n, r, {
+        masks[k]: Fraction(sum(c * flat[j] for j, c in entries), d)
+        for k, (entries, d) in enumerate(action_matrix(form))})
 
 
 # ---------------------------------------------------------------------------
@@ -144,41 +155,38 @@ class TypeSplit:
     def project(self, label: str, a: Multivector) -> Multivector:
         """Exact orthogonal projection of ``a`` onto the labeled block."""
         basis = self.basis(label)
-        if not basis:
-            return Multivector.zero(self.dimension, self.degree)
         gram = [[inner(u, v) for v in basis] for u in basis]
-        rhs = [inner(u, a) for u in basis]
-        coeffs = linalg.solve(gram, rhs)
+        coeffs = linalg.solve(gram, [inner(u, a) for u in basis])
         assert coeffs is not None  # Gram matrix of independent vectors
-        out = Multivector.zero(self.dimension, self.degree)
-        for c, b in zip(coeffs, basis):
-            if c:
-                out = out + c * b
-        return out
+        return sum((c * b for c, b in zip(coeffs, basis) if c),
+                   Multivector.zero(self.dimension, self.degree))
 
 
 def _eigenspaces(op, n: int, r: int,
                  eigenvalues: tuple[int, ...]) -> list[list[Multivector]]:
     """Exact eigenspaces of a linear map Lambda^r -> Lambda^r, one basis
     per requested eigenvalue."""
-    masks = monomial_masks(n, r)
     matrix = operator_matrix(op, n, r, r)
     out = []
     for eigenvalue in eigenvalues:
-        shifted = [row[:] for row in matrix]
-        for i in range(len(shifted)):
-            shifted[i][i] -= eigenvalue
-        out.append([from_coords(v, masks, n, r)
-                    for v in linalg.nullspace(shifted)])
+        shifted = []
+        for i, (entries, d) in enumerate(matrix):
+            diagonal = dict(entries)
+            x = diagonal.pop(i, 0) - eigenvalue * d
+            if x:
+                diagonal[i] = x
+            shifted.append((list(diagonal.items()), d))
+        out.append([from_coords(v, n, r)
+                    for v in linalg.kernel(shifted, len(matrix))])
     return out
 
 
 def _complement(forms: list[Multivector]) -> list[Multivector]:
     """Basis of the orthogonal complement of the span of equal-degree forms."""
     n, r = forms[0].dimension, forms[0].degree
-    masks = monomial_masks(n, r)
-    rows = [to_coords(f, masks) for f in forms]
-    return [from_coords(v, masks, n, r) for v in linalg.nullspace(rows)]
+    rows = [to_coords(f) for f in forms]
+    return [from_coords(v, n, r)
+            for v in linalg.kernel(rows, len(monomial_masks(n, r)))]
 
 
 def two_form_split(phi: Multivector) -> TypeSplit:
@@ -241,15 +249,19 @@ def four_form_split(phi: Multivector) -> TypeSplit:
             "Euclidean metric")
     anti = _anti_self_dual_block()
 
-    masks = monomial_masks(8, 4)
+    # the images of the generators E_ij - E_ji of so(8), i < j: the action
+    # matrix's columns, read off its rows.  E_ij only reaches monomials
+    # with dx_j and without dx_i, E_ji the others, so no two entries meet
     action = action_matrix(phi)
-    # the generators E_ij - E_ji of so(8), i < j.  E_ij only reaches
-    # monomials with dx_j and without dx_i, E_ji the others, so at most one
-    # of the two entries is nonzero and no subtraction is needed
-    orbit_rows = [[row[i * 8 + j] or -row[j * 8 + i] for row in action]
-                  for i, j in itertools.combinations(range(8), 2)]
-    reduced, pivots = linalg.rref(orbit_rows)
-    block7 = [from_coords(reduced[i], masks, 8, 4) for i in range(len(pivots))]
+    orbit = {i * 8 + j: [] for i, j in itertools.combinations(range(8), 2)}
+    for k, (entries, _) in enumerate(action):
+        for col, x in entries:
+            i, j = divmod(col, 8)
+            if i != j:
+                orbit[min(col, j * 8 + i)].append((k, x if i < j else -x))
+    d = action[0][1]  # the rows share one denominator
+    reduced, _ = linalg.echelon([(entries, d) for entries in orbit.values()])
+    block7 = [from_coords(v, 8, 4) for v in reduced]
     if len(block7) != 7:
         raise AdmissibilityError(
             f"form not admissible: so(8).Phi has rank {len(block7)}, not 7")
@@ -316,7 +328,8 @@ class StabilizerResult:
 def stabilizer_dimension(form: Multivector) -> StabilizerResult:
     """Exact kernel of A -> (derivation action of A on the form)."""
     n = form.dimension
-    kernel = linalg.nullspace(action_matrix(form))
+    kernel = [linalg.dense(v, n * n)
+              for v in linalg.kernel(action_matrix(form), n * n)]
     return StabilizerResult(form, len(kernel), tuple(
         [v[i * n:(i + 1) * n] for i in range(n)] for v in kernel))
 
@@ -336,13 +349,11 @@ class CylinderTypes:
 
 def _lift_one_form(beta7: Multivector) -> Multivector:
     """dt ^ beta for a 1-form beta on R^7 (t is x_1 of R^8)."""
-    terms = {(m << 1) | 1: c for m, c in beta7.terms.items()}
-    return Multivector(8, 2, terms)
+    return Multivector(8, 2, {(m << 1) | 1: c for m, c in beta7.terms.items()})
 
 
 def _lift_two_form(gamma7: Multivector) -> Multivector:
-    terms = {m << 1: c for m, c in gamma7.terms.items()}
-    return Multivector(8, 2, terms)
+    return Multivector(8, 2, {m << 1: c for m, c in gamma7.terms.items()})
 
 
 def cylinder_two_form_types(split: TypeSplit) -> CylinderTypes:
@@ -365,45 +376,36 @@ def cylinder_two_form_types(split: TypeSplit) -> CylinderTypes:
     def hat(alpha7: Multivector) -> Multivector:
         return hodge_star(wedge(star_phi, alpha7))  # 1-form on R^7
 
-    seven = []
-    for i in range(1, 8):
-        v_phi = contract(i, phi)
-        seven.append(_lift_one_form(hat(v_phi)) + 3 * _lift_two_form(v_phi))
-    twentyone = []
-    for m in monomial_masks(7, 2):
-        alpha = Multivector(7, 2, {m: 1})
-        twentyone.append(_lift_one_form(hat(alpha)) - _lift_two_form(alpha))
+    contractions = [contract(i, phi) for i in range(1, 8)]
+    duals = [hat(v) for v in contractions]
+    seven = [_lift_one_form(h) + 3 * _lift_two_form(v)
+             for v, h in zip(contractions, duals)]
+    alphas = [Multivector(7, 2, {m: 1}) for m in monomial_masks(7, 2)]
+    twentyone = [_lift_one_form(hat(a)) - _lift_two_form(a) for a in alphas]
 
-    masks8 = monomial_masks(8, 2)
-    rows7 = [to_coords(b, masks8) for b in split.basis("7")]
-    rows21 = [to_coords(b, masks8) for b in split.basis("21")]
-    coords7 = [to_coords(w, masks8) for w in seven]
+    def rank(forms) -> int:
+        return len(linalg.echelon([to_coords(f) for f in forms])[1])
+
     # the eigenspace bases are independent, so the parameterization stays
     # inside a block exactly when stacking it on the basis keeps the rank
-    if linalg.rank(rows7 + coords7) != 7:
+    if rank([*split.basis("7"), *seven]) != 7:
         raise AdmissibilityError(
             "rank-7 parameterization leaves the eigenspace split")
-    if linalg.rank(coords7) != 7:
+    if rank(seven) != 7:
         raise AdmissibilityError("rank-7 parameterization is degenerate")
-    if linalg.rank(rows21 + [to_coords(w, masks8) for w in twentyone]) != 21:
+    if rank([*split.basis("21"), *twentyone]) != 21:
         raise AdmissibilityError(
             "rank-21 parameterization leaves the eigenspace split")
 
     # the 1-form *( *phi ^ (v -| phi) ) must equal scale * v-flat
-    scale = None
-    for i in range(1, 8):
-        image = hat(contract(i, phi))
-        expected = Multivector.monomial(7, (i,))
-        coeff = image.coefficient((i,))
-        if image != coeff * expected:
-            raise AdmissibilityError(
-                "contraction map is not a multiple of the metric dual")
-        if scale is None:
-            scale = coeff
-        elif coeff != scale:
-            raise AdmissibilityError(
-                "contraction map scale differs between directions")
-    assert scale is not None
+    scales = [h.coefficient((i,)) for i, h in enumerate(duals, 1)]
+    if any(h != c * Multivector.monomial(7, (i,))
+           for i, (h, c) in enumerate(zip(duals, scales), 1)):
+        raise AdmissibilityError(
+            "contraction map is not a multiple of the metric dual")
+    if len(set(scales)) != 1:
+        raise AdmissibilityError(
+            "contraction map scale differs between directions")
     return CylinderTypes(split=TypeSplit(8, 2, split.phi, (
         ("7", tuple(seven)), ("21", tuple(split.basis("21"))))),
-        iso_scale=scale)
+        iso_scale=scales[0])

@@ -140,13 +140,56 @@ def test_coefficients_are_stored_as_fractions(kind):
     assert all(type(c) is Fraction for c in a.terms.values())
 
 
-def test_from_coords_reads_int_and_fraction_zeros_alike():
+def test_from_coords_reads_sparse_rows():
     masks = splits.monomial_masks(4, 2)
-    values = [Fraction(1, 2), 0, Fraction(-3), 0, 0, Fraction(5, 7)]
-    with_fraction_zeros = [Fraction(v) for v in values]
-    a = splits.from_coords(values, masks, 4, 2)
-    assert a == splits.from_coords(with_fraction_zeros, masks, 4, 2)
-    assert list(a.terms) == [masks[0], masks[2], masks[5]]
+    # columns in any order, numerators over a shared, unreduced denominator
+    a = splits.from_coords(([(5, 10), (0, 7), (2, -42)], 14), 4, 2)
+    assert a == Multivector(4, 2, {masks[0]: Fraction(1, 2), masks[2]: -3,
+                                   masks[5]: Fraction(5, 7)})
+    assert all(type(c) is Fraction for c in a.terms.values())
+    entries, d = splits.to_coords(a)
+    assert (sorted(entries), d) == ([(0, 7), (2, -42), (5, 10)], 14)
+    assert splits.from_coords(splits.to_coords(a), 4, 2) == a
+
+
+def _checked(a):
+    """The same terms passed through the public constructor."""
+    return Multivector(a.dimension, a.degree, dict(a.terms))
+
+
+@settings(max_examples=60, deadline=None)
+@given(forms(4, 1), forms(4, 2), forms(4, 2),
+       st.fractions(min_value=-3, max_value=3, max_denominator=4))
+def test_operation_results_equal_the_checked_construction(a, b, c, s):
+    # b - b, b + (-b) and a ^ a cancel every term; s may be 0
+    results = [wedge(a, b), wedge(a, a), wedge(b, c), hodge_star(b),
+               contract(1, b), contract([1, 0, Fraction(1, 2), -2], b),
+               b + c, b + (-b), b - c, b - b, s * b, -c,
+               splits.from_coords(splits.to_coords(c), 4, 2)]
+    for r in results:
+        checked = _checked(r)
+        assert r == checked and hash(r) == hash(checked)
+        assert r.terms == checked.terms
+        assert all(type(x) is Fraction and x for x in r.terms.values())
+        assert all(0 <= m < 1 << r.dimension and m.bit_count() == r.degree
+                   for m in r.terms)
+
+
+@pytest.mark.parametrize("terms", [
+    {1 << 4: 1},            # dx_5 does not exist on R^4
+    {-1: 1},
+    {0b0111: 1},            # a 3-form mask in a 2-form
+    {0b0001: 1},
+])
+def test_public_constructor_rejects_invalid_masks(terms):
+    with pytest.raises(ValueError):
+        Multivector(4, 2, terms)
+
+
+@pytest.mark.parametrize("coeff", [1j, float("nan"), "x", None])
+def test_public_constructor_rejects_non_rational_coefficients(coeff):
+    with pytest.raises((TypeError, ValueError)):
+        Multivector(4, 2, {0b0011: coeff})
 
 
 # ---------------------------------------------------------------------------

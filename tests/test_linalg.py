@@ -26,6 +26,10 @@ large_entries = st.builds(
     st.integers(2 ** 16 + 1, 2 ** 20))
 
 
+def zeros(nrows, ncols):
+    return [[0] * ncols for _ in range(nrows)]
+
+
 @st.composite
 def matrices(draw, entries=entries):
     """Rational matrices up to 12 x 16: sparse, dense or a product of
@@ -35,7 +39,7 @@ def matrices(draw, entries=entries):
     ncols = draw(st.integers(1, MAX_COLS))
     kind = draw(st.sampled_from(("sparse", "dense", "low-rank")))
     if kind == "sparse":
-        m = linalg.zeros(nrows, ncols)
+        m = zeros(nrows, ncols)
         cells = st.tuples(st.integers(0, nrows - 1), st.integers(0, ncols - 1))
         for i, j in draw(st.lists(cells, max_size=nrows * ncols // 4 + 1)):
             m[i][j] = draw(nonzero)
@@ -200,7 +204,7 @@ def test_rref_retries_where_the_first_prime_fails(matrix, expected):
 def test_rref_edge_shapes():
     assert linalg.rref([]) == ([], [])
     assert linalg.rank([]) == 0 and linalg.nullspace([]) == []
-    zero = linalg.zeros(3, 4)
+    zero = zeros(3, 4)
     assert linalg.rref(zero) == (zero, [])
     assert len(linalg.nullspace(zero)) == 4
     one = [[Fraction(0), Fraction(2), Fraction(4)]]
@@ -218,6 +222,77 @@ def test_shape_errors():
         linalg.rref([[Fraction(1)], [Fraction(1), Fraction(2)]])
     with pytest.raises(ValueError):
         linalg.rref([[Fraction(1), Fraction(2)], [Fraction(1)]])
+
+
+@st.composite
+def sparse_rows(draw):
+    """Sparse rows with up to 12 x 16 entries, each over its own
+    denominator, possibly no rows or no columns, zero rows, and rows that
+    combine earlier rows."""
+    ncols = draw(st.integers(0, MAX_COLS))
+    rows = []
+    for _ in range(draw(st.integers(0, MAX_ROWS))):
+        columns = draw(st.lists(st.integers(0, ncols - 1), unique=True,
+                                max_size=min(ncols, 6))) if ncols else []
+        rows.append(([(j, draw(st.integers(-6, 6).filter(bool)))
+                      for j in columns],
+                     draw(st.sampled_from((1, 2, 3, 6, 35)))))
+    for _ in range(draw(st.integers(0, 3)) if rows else 0):
+        a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        x, y = draw(entries), draw(entries)
+        combined = [x * u + y * v for u, v in zip(linalg.dense(a, ncols),
+                                                  linalg.dense(b, ncols))]
+        rows.append(linalg.row([(j, c) for j, c in enumerate(combined) if c]))
+    return rows, ncols
+
+
+def _well_formed(r, ncols) -> bool:
+    """Columns increasing and in range, nonzero int numerators, a positive
+    int denominator."""
+    entries, d = r
+    columns = [j for j, _ in entries]
+    return (columns == sorted(set(columns))
+            and all(0 <= j < ncols for j in columns)
+            and all(type(x) is int and x for _, x in entries)
+            and type(d) is int and d > 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_rows())
+def test_sparse_kernel_agrees_with_the_reference_elimination(case):
+    rows, ncols = case
+    dense = [linalg.dense(r, ncols) for r in rows]
+    expected, expected_pivots = reference_rref(dense)
+    reduced, pivots = linalg.echelon(rows)
+    assert pivots == expected_pivots
+    assert [linalg.dense(r, ncols) for r in reduced] == expected[:len(pivots)]
+    # one kernel vector per free column f: 1 at f, 0 at the other free
+    # columns and minus column f of the reduced form at the pivots
+    kernel = linalg.kernel(rows, ncols)
+    free = [f for f in range(ncols) if f not in pivots]
+    assert len(kernel) == len(free)
+    for v, f in zip(kernel, free):
+        want = [0] * ncols
+        want[f] = 1
+        for i, p in enumerate(pivots):
+            want[p] = -expected[i][f]
+        assert linalg.dense(v, ncols) == want
+        assert not any(mat_vec(dense, linalg.dense(v, ncols)))
+    for r in reduced + kernel:
+        assert _well_formed(r, ncols)
+    for (entries, d), p in zip(reduced, pivots):
+        assert entries[0] == (p, d)
+
+
+@settings(max_examples=80, deadline=None)
+@given(matrices() | matrices(large_entries), st.data())
+def test_dense_results_hold_fractions_and_int_zeros(m, data):
+    reduced, _ = linalg.rref(m)
+    assert all(_exact(row) for row in reduced)
+    assert all(_exact(v) for v in linalg.nullspace(m))
+    rhs = data.draw(st.lists(entries, min_size=len(m), max_size=len(m)))
+    x = linalg.solve(m, rhs)
+    assert x is None or _exact(x)
 
 
 def test_verify_forms_imports_no_numpy():

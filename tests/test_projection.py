@@ -80,13 +80,13 @@ def test_newton_tangent_matrix_is_an_exact_integer_product():
     # the action matrix of the Cayley form and the complement basis W;
     # integral factors make that product exact
     action = splits.action_matrix(cayley_form())
-    assert {x for row in action for x in row} <= {-1, 0, 1}
+    assert all(d == 1 and abs(x) == 1 for entries, d in action
+               for _, x in entries)
     data = projection._newton_data()
     assert np.array_equal(data["W"], np.round(data["W"]))
-    masks = splits.monomial_masks(8, 4)
-    exact = np.array([splits.to_coords(splits.infinitesimal_action(
-        [[Fraction(x) for x in row] for row in A], cayley_form()), masks)
-        for A in data["W"]], dtype=float).T
+    exact = np.array([projection.form_to_array(splits.infinitesimal_action(
+        [[Fraction(x) for x in row] for row in A], cayley_form()))
+        for A in data["W"]]).T
     assert np.abs(data["Q"] @ data["R"] - exact).max() <= 1e-12
 
 

@@ -415,8 +415,8 @@ ACTION_SHA256 = {
 @pytest.mark.parametrize("name, form", zip(ACTION_SHA256, [PHI, *ROTATED]))
 def test_action_matrix_is_pinned(name, form):
     matrix = splits.action_matrix(form)
-    assert _sha256([[(k, c) for k, c in enumerate(row) if c]
-                    for row in matrix]) == ACTION_SHA256[name]
+    assert _sha256([sorted((k, Fraction(c, d)) for k, c in entries)
+                    for entries, d in matrix]) == ACTION_SHA256[name]
 
 
 def test_anti_self_dual_block_is_computed_once():
