@@ -1,7 +1,7 @@
 """Characteristic numbers and Hodge numbers, all in exact arithmetic.
 
 Chern classes of well-formed quasismooth hypersurfaces and complete
-intersections via truncated power series, orbifold/topological Euler
+intersections via integer recurrences, orbifold/topological Euler
 characteristics, Noether's formula for surfaces, and Steenbrink's
 Jacobian-ring Hodge numbers for diagonal hypersurfaces.
 """
@@ -9,84 +9,11 @@ Jacobian-ring Hodge numbers for diagonal hypersurfaces.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import prod
 from typing import Sequence
-
-
-# ---------------------------------------------------------------------------
-# truncated power series
-# ---------------------------------------------------------------------------
-
-class TruncatedSeries:
-    """A power series in one variable truncated at a fixed order, with
-    exact rational coefficients."""
-
-    __slots__ = ("order", "coeffs")
-
-    def __init__(self, order: int, coeffs: Sequence = ()):
-        if order < 0:
-            raise ValueError("order must be nonnegative")
-        c = [Fraction(x) for x in coeffs[:order + 1]]
-        c += [Fraction(0)] * (order + 1 - len(c))
-        self.order = order
-        self.coeffs = c
-
-    @classmethod
-    def one(cls, order: int) -> "TruncatedSeries":
-        return cls(order, [1])
-
-    @classmethod
-    def linear(cls, order: int, slope) -> "TruncatedSeries":
-        """1 + slope * x."""
-        return cls(order, [1, slope])
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, TruncatedSeries)
-                and self.order == other.order
-                and self.coeffs == other.coeffs)
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        if self.order != other.order:
-            raise ValueError("order mismatch")
-        return TruncatedSeries(
-            self.order, [a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        if self.order != other.order:
-            raise ValueError("order mismatch")
-        n = self.order
-        out = [Fraction(0)] * (n + 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j in range(n + 1 - i):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] += a * b
-        return TruncatedSeries(n, out)
-
-    def reciprocal(self) -> "TruncatedSeries":
-        """Multiplicative inverse; requires a nonzero constant term."""
-        if not self.coeffs[0]:
-            raise ZeroDivisionError("series has zero constant term")
-        n = self.order
-        inv0 = Fraction(1) / self.coeffs[0]
-        out = [inv0] + [Fraction(0)] * n
-        for k in range(1, n + 1):
-            acc = Fraction(0)
-            for j in range(1, k + 1):
-                if self.coeffs[j]:
-                    acc += self.coeffs[j] * out[k - j]
-            out[k] = -inv0 * acc
-        return TruncatedSeries(n, out)
-
-    def coefficient(self, k: int) -> Fraction:
-        return self.coeffs[k]
-
-    def __repr__(self) -> str:
-        return f"TruncatedSeries({self.order}, {self.coeffs})"
 
 
 # ---------------------------------------------------------------------------
@@ -94,18 +21,22 @@ class TruncatedSeries:
 # ---------------------------------------------------------------------------
 
 def total_chern(weights: Sequence[int],
-                degrees: Sequence[int]) -> TruncatedSeries:
-    """c(Z) for a complete intersection Z of the given degrees in CP^n_a:
-    prod (1 + a_j x) * prod (1 + d_i x)^{-1}, truncated at dim Z."""
+                degrees: Sequence[int]) -> list[int]:
+    """Coefficients c_0..c_dim of c(Z) for a complete intersection Z of the
+    given degrees in CP^n_a: prod (1 + a_j x) * prod (1 + d_i x)^{-1},
+    truncated at dim Z.  Both factors have integer coefficients, so each
+    is one integer recurrence."""
     dim = len(weights) - 1 - len(degrees)
     if dim < 0:
         raise ValueError("too many hypersurfaces")
-    series = TruncatedSeries.one(dim)
+    c = [1] + [0] * dim
     for a in weights:
-        series = series * TruncatedSeries.linear(dim, a)
+        for k in range(dim, 0, -1):
+            c[k] += a * c[k - 1]
     for d in degrees:
-        series = series * TruncatedSeries.linear(dim, d).reciprocal()
-    return series
+        for k in range(1, dim + 1):
+            c[k] -= d * c[k - 1]
+    return c
 
 
 def degree_pairing(weights: Sequence[int], degrees: Sequence[int],
@@ -136,10 +67,10 @@ def euler_characteristics(weights: Sequence[int], degrees: Sequence[int],
     (it signals wrong singular data).
     """
     dim = len(weights) - 1 - len(degrees)
-    top = total_chern(weights, degrees).coefficient(dim)
+    top = total_chern(weights, degrees)[dim]
     chi_orb = top * degree_pairing(weights, degrees, dim)
-    corrections = tuple(Fraction(1) - Fraction(1, m) for m in singular_orders)
-    total = chi_orb + sum(corrections, Fraction(0))
+    corrections = tuple(Fraction(m - 1, m) for m in singular_orders)
+    total = sum(corrections, chi_orb)
     if total.denominator != 1:
         raise ValueError(
             f"topological Euler characteristic {total} is not an integer; "
@@ -161,15 +92,17 @@ def noether_pg(weights: Sequence[int],
         raise ValueError("Noether's formula applies to surfaces")
     chi = euler_characteristics(weights, degrees).chi_top
     canonical = sum(degrees) - sum(weights)
-    k_squared = Fraction(canonical * canonical) * degree_pairing(
-        weights, degrees, 2)
-    if k_squared.denominator != 1:
-        raise ValueError(f"K^2 = {k_squared} is not an integer")
-    chi_o = Fraction(int(k_squared) + chi, 12)
-    if chi_o.denominator != 1:
+    k_squared, rest = divmod(canonical * canonical * prod(degrees),
+                             prod(weights))
+    if rest:
+        pairing = canonical * canonical * degree_pairing(weights, degrees, 2)
+        raise ValueError(f"K^2 = {pairing} is not an integer")
+    chi_o, rest = divmod(k_squared + chi, 12)
+    if rest:
         raise ValueError(
-            f"holomorphic Euler characteristic {chi_o} is not an integer")
-    return chi, int(k_squared), int(chi_o) - 1
+            "holomorphic Euler characteristic "
+            f"{Fraction(k_squared + chi, 12)} is not an integer")
+    return chi, k_squared, chi_o - 1
 
 
 # ---------------------------------------------------------------------------
@@ -184,12 +117,26 @@ class GradedMonomialRing:
 
     weights: tuple[int, ...]
     degree: int
+    _series: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for a in self.weights:
             if self.degree % a:
                 raise ValueError(
                     f"weight {a} does not divide the degree {self.degree}")
+        # The Hilbert series prod (1 - t^{d - a_i}) / (1 - t^{a_i}) is a
+        # polynomial of degree socle_degree (zero when some e_i = 1, which
+        # is also the only way socle_degree < 0).  Expand it once in exact
+        # ints: times (1 - t^s) is one shifted subtraction, and over
+        # (1 - t^a) a running sum along each residue class mod a.
+        top = self.socle_degree
+        series = [1] + [0] * top if top >= 0 else []
+        for a in self.weights:
+            shift = self.degree - a
+            series[shift:] = list(map(operator.sub, series[shift:], series))
+            for r in range(min(a, len(series))):
+                series[r::a] = itertools.accumulate(series[r::a])
+        object.__setattr__(self, "_series", tuple(series))
 
     @property
     def exponents(self) -> tuple[int, ...]:
@@ -201,23 +148,9 @@ class GradedMonomialRing:
         return sum(self.degree - 2 * a for a in self.weights)
 
     def hilbert(self, k: int) -> int:
-        """Hilbert function via the generating series
+        """Hilbert function: the coefficient of t^k in the generating series
         prod (1 - t^{d - a_i}) / (1 - t^{a_i})."""
-        if k < 0:
-            return 0
-        # expand the polynomial prod_i (1 + t^{a_i} + ... + t^{(e_i-2) a_i})
-        coeffs = [0] * (k + 1)
-        coeffs[0] = 1
-        for a, e in zip(self.weights, self.exponents):
-            new = [0] * (k + 1)
-            top = (e - 2) * a
-            for deg, c in enumerate(coeffs):
-                if not c:
-                    continue
-                for step in range(0, min(top, k - deg) + 1, a):
-                    new[deg + step] += c
-            coeffs = new
-        return coeffs[k]
+        return self._series[k] if 0 <= k < len(self._series) else 0
 
     def hilbert_series_by_enumeration(self) -> list[int]:
         """Oracle: the Hilbert function in degrees 0..socle+1, by

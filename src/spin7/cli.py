@@ -16,6 +16,7 @@ schema error.  Output is deterministic for identical inputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 
@@ -295,7 +296,10 @@ def cmd_scan(args) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The ``spin7`` parser, built once per process: parsing keeps no
+    state in it, so every ``main`` call reuses it."""
     parser = argparse.ArgumentParser(
         prog="spin7",
         description="Exact checks for Spin(7)/G2/SU(4) structures and "

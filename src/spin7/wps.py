@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -101,13 +102,26 @@ _COMPLEX_PATTERN = re.compile(
     r"(?P<im>[+-]?(?:\d+(?:/\d+)?)?i)?\s*$")
 
 I_UNIT = GaussianRational(Fraction(0), Fraction(1))
+_UNIT_POWERS = (GaussianRational(Fraction(1)), I_UNIT,
+                GaussianRational(Fraction(-1)),
+                GaussianRational(Fraction(0), Fraction(-1)))
 
 
 def unit_power(k: int) -> GaussianRational:
     """i**k as an exact Gaussian rational."""
-    return [GaussianRational(Fraction(1)), I_UNIT,
-            GaussianRational(Fraction(-1)),
-            GaussianRational(Fraction(0), Fraction(-1))][k % 4]
+    return _UNIT_POWERS[k % 4]
+
+
+def _rotate(c: GaussianRational, k: int) -> GaussianRational:
+    """c * i**k, by swapping and negating the parts of c."""
+    k %= 4
+    if k == 0:
+        return c
+    if k == 1:
+        return GaussianRational(-c.im, c.re)
+    if k == 2:
+        return GaussianRational(-c.re, -c.im)
+    return GaussianRational(c.im, -c.re)
 
 
 # A polynomial in the homogeneous coordinates: exponent tuple -> coefficient.
@@ -166,21 +180,17 @@ class SingularStratum:
 
 def singular_strata(space: WeightedSpace) -> list[SingularStratum]:
     """Maximal singular strata: subsets S with gcd >= 2 that cannot be
-    enlarged without lowering the gcd."""
+    enlarged without lowering the gcd.
+
+    Such an S is exactly S_m = {i : m | a_i} for an m >= 2 with
+    gcd(a_i : i in S_m) = m, so the strata are indexed by divisors.
+    """
     a = space.weights
-    n1 = len(a)
     found = []
-    for r in range(1, n1 + 1):
-        for combo in itertools.combinations(range(n1), r):
-            m = math.gcd(*(a[i] for i in combo))
-            if m < 2:
-                continue
-            extendable = any(
-                j not in combo and math.gcd(m, a[j]) == m
-                for j in range(n1))
-            if extendable:
-                continue
-            residues = tuple(a[j] % m for j in range(n1) if j not in combo)
+    for m in range(2, max(a) + 1):
+        combo = tuple(i for i, w in enumerate(a) if not w % m)
+        if combo and math.gcd(*(a[i] for i in combo)) == m:
+            residues = tuple(w % m for w in a if w % m)
             found.append(SingularStratum(combo, m, residues))
     found.sort(key=lambda s: s.indices)
     return found
@@ -431,29 +441,44 @@ def _projective_involution_unit(space: WeightedSpace,
 
 def _polynomial_preserved(poly: Polynomial,
                           inv: InvolutionDatum) -> tuple[bool, str]:
-    """Is poly o rho a scalar multiple of conj(poly)?"""
-    sigma = inv.permutation
-    transformed: Polynomial = {}
-    for exps, coeff in poly.items():
+    """Is poly o rho a scalar multiple of conj(poly)?
+
+    rho multiplies the monomial z^e by i^(sum p_i e_i), so each image
+    coefficient is one rotation.  t = lambda * conj(c) for every monomial
+    is tested as t * conj(c_0) == t_0 * conj(c) against the first one.
+    The test is homogeneous, so it runs on the coefficients times one
+    common denominator, in ints; the ratios are formed only to name a
+    failure.
+    """
+    sigma, powers = inv.permutation, inv.phase_powers
+    common = math.lcm(*(x.denominator for c in poly.values()
+                        for x in (c.re, c.im)))
+    scaled = {exps: GaussianRational(
+                  c.re.numerator * (common // c.re.denominator),
+                  c.im.numerator * (common // c.im.denominator))
+              for exps, c in poly.items()}
+    image: dict[tuple[int, ...], tuple[tuple[int, ...], int]] = {}
+    for exps in poly:
         new_exps = [0] * len(sigma)
-        phase = GaussianRational(Fraction(1))
         for i, e in enumerate(exps):
             new_exps[sigma[i]] = e
-            if e:
-                phase = phase * unit_power(inv.phase_powers[i] * e)
-        transformed[tuple(new_exps)] = coeff * phase
-    conj = {exps: c.conjugate() for exps, c in poly.items()}
-    if set(transformed) != set(conj):
-        missing = set(transformed) ^ set(conj)
+        image[tuple(new_exps)] = exps, sum(map(operator.mul, powers, exps))
+    if image.keys() != poly.keys():
+        missing = set(image) ^ set(poly)
         return False, f"monomial support not preserved: {sorted(missing)}"
-    scale = None
-    for exps, c in transformed.items():
-        ratio = c / conj[exps]
-        if scale is None:
-            scale = ratio
-        elif not (ratio - scale == GaussianRational()):
-            return False, (f"monomial {exps}: coefficient ratio {ratio} "
-                           f"differs from {scale}")
+
+    def ratio(exps):
+        source, k = image[exps]
+        return _rotate(poly[source], k) / poly[exps].conjugate()
+
+    first = None
+    for exps, (source, k) in image.items():
+        t, conj = _rotate(scaled[source], k), scaled[exps].conjugate()
+        if first is None:
+            first, t0, conj0 = exps, t, conj
+        elif t * conj0 != t0 * conj:
+            return False, (f"monomial {exps}: coefficient ratio "
+                           f"{ratio(exps)} differs from {ratio(first)}")
     return True, ""
 
 
@@ -492,16 +517,13 @@ def involution_check(ci: CompleteIntersectionDatum,
         return InvolutionCheck(False, 0, tuple(reasons))
 
     # fixed locus: coordinates in "free" 2-cycles must vanish at any
-    # fixed point, since there eps_i * conj(eps_j) must be 1
+    # fixed point, since there eps_i * conj(eps_j) = i^(p_i - p_j) must be 1
     free: set[int] = set()
     for i in range(len(a)):
         j = sigma[i]
-        if j != i:
-            ratio = inv.phase(i) * inv.phase(j).conjugate()
-            if not (ratio - GaussianRational(Fraction(1))
-                    == GaussianRational()):
-                free.add(i)
-                free.add(j)
+        if j != i and (inv.phase_powers[i] - inv.phase_powers[j]) % 4:
+            free.add(i)
+            free.add(j)
     support = [i for i in range(len(a)) if i not in free]
 
     for group in singular.points:
@@ -580,6 +602,10 @@ class ScanCandidate:
     reasons: tuple[str, ...]
 
 
+# the reasons of the most common rejection, shared by every such candidate
+_NO_DIAGONAL_MEMBER = ("anticanonical degree admits no diagonal member",)
+
+
 def scan_admissible(max_weight: int, ambient_dim: int) -> list[ScanCandidate]:
     """Scan sorted weight tuples for ambient spaces V = CP^n_a passing the
     necessary admissibility conditions, with the anticanonical Fermat
@@ -589,6 +615,9 @@ def scan_admissible(max_weight: int, ambient_dim: int) -> list[ScanCandidate]:
     anticanonical member, a non-empty isolated singular locus with the
     scalar Z4 local model, and a weight-pairing for an involution of the
     coordinate-swap type.  Not a proof of admissibility.
+
+    The candidates come in increasing order of their weight tuples, the
+    order in which ``combinations_with_replacement`` enumerates them.
     """
     results: list[ScanCandidate] = []
     if ambient_dim < 3:
@@ -598,13 +627,12 @@ def scan_admissible(max_weight: int, ambient_dim: int) -> list[ScanCandidate]:
             range(1, max_weight + 1), n1):
         if math.gcd(*weights) != 1:
             continue
+        d = sum(weights)
+        if d % math.lcm(*weights):
+            results.append(ScanCandidate(weights, False, _NO_DIAGONAL_MEMBER))
+            continue
         space = WeightedSpace(weights)
         reasons: list[str] = []
-        d = sum(weights)
-        if any(d % a for a in weights):
-            reasons.append("anticanonical degree admits no diagonal member")
-            results.append(ScanCandidate(weights, False, tuple(reasons)))
-            continue
         exponents = tuple(d // a for a in weights)
         member = CompleteIntersectionDatum(space, (d,), exponents)
         ok_wf, violations = well_formed(member)
@@ -627,5 +655,4 @@ def scan_admissible(max_weight: int, ambient_dim: int) -> list[ScanCandidate]:
                     "no weight-pairing involution: odd number of "
                     f"non-singular coordinates of weight {odd}")
         results.append(ScanCandidate(weights, not reasons, tuple(reasons)))
-    results.sort(key=lambda c: c.weights)
     return results

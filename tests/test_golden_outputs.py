@@ -17,7 +17,9 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import pathlib
+import subprocess
 import sys
 
 import pytest
@@ -66,7 +68,10 @@ def _text(value: str) -> str | dict:
 def _run(argv: list[str]) -> dict:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(list(argv))
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:  # argparse rejects its input this way
+            code = exc.code
     return {"code": code, "stdout": _text(out.getvalue()),
             "stderr": _text(err.getvalue())}
 
@@ -83,6 +88,31 @@ def test_goldens_cover_exactly_the_cases(goldens):
 @pytest.mark.parametrize("case", list(CASES))
 def test_output_matches_golden(case, goldens):
     assert _run(CASES[case]) == goldens[case]
+
+
+def test_reused_parser_carries_no_state(goldens):
+    """``cli.main`` builds its parser once per process.  Consecutive calls
+    that switch command and format, or follow a rejected argv, each print
+    what a fresh process prints."""
+    scan = ["scan", "--max-weight", "6", "--ambient-dim", "4"]
+    rejected = ["scan", "--ambient-dim", "4"]  # --max-weight is required
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    fresh = subprocess.run([sys.executable, "-m", "spin7.cli", *rejected],
+                           capture_output=True, text=True, env=env,
+                           check=False)
+    assert fresh.returncode == 2 and "--max-weight" in fresh.stderr
+    sequence = [
+        (scan + ["--format", "structured"], goldens["scan 6 4 structured"]),
+        (scan, goldens["scan 6 4 table"]),
+        (CASES["analyze m1 table"], goldens["analyze m1 table"]),
+        (["verify-forms"], goldens["verify-forms table"]),
+        (rejected, {"code": 2, "stdout": fresh.stdout,
+                    "stderr": fresh.stderr}),
+        (CASES["analyze m2 structured"], goldens["analyze m2 structured"]),
+    ]
+    for argv, want in sequence:
+        assert _run(argv) == want, argv
 
 
 if __name__ == "__main__":

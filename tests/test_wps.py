@@ -1,6 +1,8 @@
 """Weighted projective spaces: well-formedness, singular loci,
 involutions, and the admissibility scan."""
 
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -112,6 +114,41 @@ def test_singular_strata():
     assert wps.singular_strata(WeightedSpace((1, 1, 1, 1, 1))) == []
 
 
+def _singular_strata_by_subsets(space):
+    """Reference: walk every subset of the coordinates and keep those with
+    gcd >= 2 that no further coordinate keeps at the same gcd."""
+    a = space.weights
+    n1 = len(a)
+    found = []
+    for r in range(1, n1 + 1):
+        for combo in itertools.combinations(range(n1), r):
+            m = math.gcd(*(a[i] for i in combo))
+            if m < 2:
+                continue
+            extendable = any(
+                j not in combo and math.gcd(m, a[j]) == m
+                for j in range(n1))
+            if extendable:
+                continue
+            residues = tuple(a[j] % m for j in range(n1) if j not in combo)
+            found.append(wps.SingularStratum(combo, m, residues))
+    found.sort(key=lambda s: s.indices)
+    return found
+
+
+@pytest.mark.parametrize("n1", [5, 6])
+def test_singular_strata_match_the_subset_walk(n1):
+    count = 0
+    for weights in itertools.combinations_with_replacement(range(1, 13), n1):
+        if math.gcd(*weights) != 1:
+            continue
+        space = WeightedSpace(weights)
+        assert wps.singular_strata(space) == _singular_strata_by_subsets(
+            space), weights
+        count += 1
+    assert count > 4000
+
+
 def test_anticanonical_degree():
     space = WeightedSpace((1, 1, 1, 1, 4))
     assert wps.anticanonical_degree(CompleteIntersectionDatum(space)) == 8
@@ -206,6 +243,39 @@ def test_involution_rejects_unpreserved_polynomial():
                                  wps.isolated_z4_check(ambient))
     assert not check.ok
     assert any("preserve" in r for r in check.reasons)
+
+
+def test_involution_failure_messages():
+    ambient = CompleteIntersectionDatum(WeightedSpace((1, 1, 1, 1, 4)))
+    iso = wps.isolated_z4_check(ambient)
+    rho = InvolutionDatum((1, 0, 3, 2, 4), (0, 2, 0, 2, 0))
+    poly = wps.parse_polynomial([((8, 0, 0, 0, 0), GR(1))])
+    check = wps.involution_check(ambient, rho, [poly], iso)
+    assert check.reasons == (
+        "polynomial 0 not preserved: monomial support not preserved: "
+        "[(0, 8, 0, 0, 0), (8, 0, 0, 0, 0)]",)
+    # i-phases and non-unit rational coefficients: the first image
+    # monomial fixes the scale, and the next one breaks it
+    rho = InvolutionDatum((1, 0, 3, 2, 4), (1, 3, 0, 2, 0))
+    poly = wps.parse_polynomial([((1, 7, 0, 0, 0), "2/3+i"),
+                                 ((7, 1, 0, 0, 0), "1/2"),
+                                 ((0, 0, 0, 0, 2), "-3/5i")])
+    check = wps.involution_check(ambient, rho, [poly], iso)
+    assert check.reasons == (
+        "polynomial 0 not preserved: monomial (1, 7, 0, 0, 0): coefficient "
+        "ratio -3/13-9/26i differs from -4/3-2i",)
+    poly = wps.parse_polynomial([((1, 7, 0, 0, 0), "2/3+i"),
+                                 ((7, 1, 0, 0, 0), "2/3-i"),
+                                 ((0, 0, 0, 0, 2), "3/5")])
+    check = wps.involution_check(ambient, rho, [poly], iso)
+    assert check.reasons == (
+        "polynomial 0 not preserved: monomial (0, 0, 0, 0, 2): coefficient "
+        "ratio 1 differs from -1",)
+    # with the last coefficient on the imaginary axis it is preserved
+    poly = wps.parse_polynomial([((1, 7, 0, 0, 0), "2/3+i"),
+                                 ((7, 1, 0, 0, 0), "2/3-i"),
+                                 ((0, 0, 0, 0, 2), "-3/5i")])
+    assert wps._polynomial_preserved(poly, rho) == (True, "")
 
 
 def test_involution_requires_square_identity():
