@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 from fractions import Fraction
 
@@ -143,15 +144,32 @@ def _newton_probes(tolerance: float):
         xi = pr27 @ rng.standard_normal(70)
         xi /= np.linalg.norm(xi)
         for eps in (1e-2, 1e-3, 1e-4):
-            out = projection.theta_project(phi0 + eps * xi,
-                                           tolerance=tolerance)
+            probe = f"direction {trial}, eps {eps:g}: "
+            try:
+                out = projection.theta_project(phi0 + eps * xi,
+                                               tolerance=tolerance)
+            except projection.ProjectionError as exc:
+                ok_all = False
+                lines.append((f"{probe}ProjectionError: {exc}", False))
+                continue
             err = float(np.linalg.norm(out.psi - eps * xi))
             ok = err <= 100 * eps * eps and out.residual <= 1e-10
             ok_all &= ok
-            lines.append((f"direction {trial}, eps {eps:g}: "
-                          f"|psi - eps xi| = {err:.3e}, "
+            lines.append((f"{probe}|psi - eps xi| = {err:.3e}, "
                           f"iterations {out.iterations}", ok))
     return lines, ok_all
+
+
+def _positive_finite(text: str) -> float:
+    """argparse type of ``--tolerance``: a positive finite float."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"must be a positive finite number, got {text!r}")
+    return value
 
 
 def _outcomes(key: str, results) -> list:
@@ -312,8 +330,9 @@ def build_parser() -> argparse.ArgumentParser:
                           default="table")
     p_verify.add_argument("--with-newton", action="store_true",
                           help="add floating Newton-projection probes")
-    p_verify.add_argument("--tolerance", type=float, default=1e-12,
-                          help="projection tolerance")
+    p_verify.add_argument("--tolerance", type=_positive_finite,
+                          default=1e-12,
+                          help="projection tolerance (positive, finite)")
     p_verify.add_argument("--inject-sign-flip", action="store_true",
                           help=argparse.SUPPRESS)  # test mode: breaks Phi
     p_verify.set_defaults(func=cmd_verify_forms)

@@ -15,6 +15,7 @@ converted to floats once.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -83,12 +84,23 @@ def apply_map(g: np.ndarray, v: np.ndarray) -> np.ndarray:
     index quadruples are gathered back; the 70 x 70 matrix of minors is
     never formed.
     """
+    return _push(_scatter(v), g).reshape(v.shape)
+
+
+def _scatter(v: np.ndarray) -> np.ndarray:
+    """The antisymmetric 8^4 tensors of the columns of v, as 4096 x k."""
     cols = v.reshape(70, -1)
     t = np.zeros((8 ** 4, cols.shape[1]))
     t[_SCATTER_FLAT] = _SCATTER_SIGN[:, None] * cols[_SCATTER_SOURCE]
+    return t
+
+
+def _push(t: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Contract the four slots of scattered tensors with g and gather the
+    coordinates back, as a 70 x k array."""
     for _ in range(4):  # each contraction moves the new slot to the end
         t = t.reshape(8, -1).T @ g
-    return t.reshape(-1, 8 ** 4)[:, _GATHER_FLAT].T.reshape(v.shape)
+    return t.reshape(-1, 8 ** 4)[:, _GATHER_FLAT].T
 
 
 @lru_cache(maxsize=1)
@@ -109,7 +121,6 @@ def _newton_data() -> dict:
     action = [linalg.dense(r, 64) for r in splits.action_matrix(phi0)]
     D = np.array(action, dtype=float) @ W.reshape(43, 64).T
     Q, R = np.linalg.qr(D)
-    P_tan = Q @ Q.T
 
     split4 = splits.four_form_split(phi0)
     projectors = {}
@@ -119,13 +130,20 @@ def _newton_data() -> dict:
         Qb, _ = np.linalg.qr(B)
         projectors[label] = Qb @ Qb.T
 
+    phi0_vec = form_to_array(phi0)
     return {
-        "phi0": form_to_array(phi0),
+        "phi0": phi0_vec,
+        "phi0_tensor": _scatter(phi0_vec),
         "W": W,
+        "W64": W.reshape(43, 64),
         "Q": Q,
         "R": R,
-        "P_tan": P_tan,
+        # the Gauss-Newton step m = -R^{-1} Q^T u, the least-squares
+        # solution of D m = -u, from two stored matrices
+        "Qt": np.ascontiguousarray(Q.T),
+        "R_inv": solve_triangular(R, np.eye(43)),
         "projectors": projectors,
+        "off27": projectors["1"] + projectors["7"] + projectors["35"],
     }
 
 
@@ -152,10 +170,8 @@ class ProjectionOutcome:
         """Norm of the rank-(1+7+35) component of psi, measured after
         pulling back to the standard fiber; small when psi lies in the
         rank-27 block at phi."""
-        pr = _newton_data()["projectors"]
         pulled = apply_map(self.gauge, self.psi)
-        tangent = (pr["1"] + pr["7"] + pr["35"]) @ pulled
-        return float(np.linalg.norm(tangent))
+        return float(np.linalg.norm(_newton_data()["off27"] @ pulled))
 
 
 def _as_array(chi) -> np.ndarray:
@@ -175,39 +191,58 @@ def theta_project(chi, tolerance: float = TOLERANCE,
     maintain y = (Lambda^4 H) chi and update H by exponentials of
     stabilizer-complement directions until the component of y - Phi0
     tangent to the orbit vanishes.  Each step is the least-squares
-    solution of D m = -(tangent part), taken from the stored QR factor of
-    the 70 x 43 matrix D of orbit directions at Phi0.  Then Phi is the image of
-    Phi0 under H^{-1} and psi = chi - Phi lies in the rank-27 block at
-    Phi by equivariance of the type decomposition.
+    solution of D m = -(tangent part) for the 70 x 43 matrix D = QR of
+    orbit directions at Phi0: with t = Q^T (y - Phi0), the residual is
+    |t| and the step is m = -R^{-1} t, both from matrices stored once.
+    chi is scattered into the 8^4 tensor once; each step pushes that
+    tensor through H.  Then Phi is the image of Phi0 under H^{-1} (Phi0
+    itself when no step is taken) and psi = chi - Phi lies in the
+    rank-27 block at Phi by equivariance of the type decomposition.
+
+    Raises ValueError for a tolerance that is not positive and finite,
+    a negative max_iterations or a non-finite chi, and ProjectionError
+    when the iteration diverges or does not converge.
     """
-    data = _newton_data()
-    phi0 = data["phi0"]
-    W, Q, R, P_tan = data["W"], data["Q"], data["R"], data["P_tan"]
-
+    if not (math.isfinite(tolerance) and tolerance > 0):
+        raise ValueError(
+            f"tolerance must be positive and finite, got {tolerance!r}")
+    if max_iterations < 0:
+        raise ValueError(
+            f"max_iterations must be nonnegative, got {max_iterations!r}")
     chi_vec = _as_array(chi)
-    H = np.eye(8)
-    t = P_tan @ (chi_vec - phi0)
-    residuals = [float(np.linalg.norm(t))]
-    while residuals[-1] > tolerance or not np.isfinite(residuals[-1]):
-        iterations = len(residuals) - 1
-        if not np.isfinite(residuals[-1]):
-            raise ProjectionError(
-                f"iteration diverged after {iterations} step(s); the input "
-                "is outside the reachable neighbourhood of the orbit")
-        if iterations >= max_iterations:
-            raise ProjectionError(
-                f"no convergence after {max_iterations} iterations "
-                f"(tangential residual {residuals[-1]:.3e}); the input is "
-                "outside the reachable neighbourhood of the orbit")
-        # least-squares solution of D m = -t, D = QR of full column rank
-        m = -solve_triangular(R, Q.T @ t)
-        H = H @ expm(np.tensordot(m, W, 1))
-        t = P_tan @ (apply_map(H, chi_vec) - phi0)
-        residuals.append(float(np.linalg.norm(t)))
+    if not np.isfinite(chi_vec).all():
+        raise ValueError("chi has a non-finite coordinate")
+    data = _newton_data()
+    phi0, Qt, R_inv, W64 = data["phi0"], data["Qt"], data["R_inv"], data["W64"]
 
-    phi = apply_map(np.linalg.inv(H), phi0)
-    psi = chi_vec - phi
-    return ProjectionOutcome(chi=chi_vec, phi=phi, psi=psi,
+    t = Qt @ (chi_vec - phi0)
+    residuals = [math.sqrt(t @ t)]
+    H = np.eye(8)
+    if residuals[0] <= tolerance:
+        phi = phi0.copy()  # no step: Phi is Phi0 itself
+    else:
+        chi_tensor = _scatter(chi_vec)
+        while not residuals[-1] <= tolerance:  # a NaN residual enters
+            iterations = len(residuals) - 1
+            if not math.isfinite(residuals[-1]):
+                raise ProjectionError(
+                    f"iteration diverged after {iterations} step(s); the "
+                    "input is outside the reachable neighbourhood of the "
+                    "orbit")
+            if iterations >= max_iterations:
+                raise ProjectionError(
+                    f"no convergence after {max_iterations} iterations "
+                    f"(tangential residual {residuals[-1]:.3e}, tolerance "
+                    f"{tolerance:.3e}); the input is outside the reachable "
+                    "neighbourhood of the orbit, or the tolerance is below "
+                    "the rounding floor")
+            m = -(R_inv @ t)
+            H = H @ expm((m @ W64).reshape(8, 8))
+            t = Qt @ (_push(chi_tensor, H).ravel() - phi0)
+            residuals.append(math.sqrt(t @ t))
+        phi = _push(data["phi0_tensor"], np.linalg.inv(H)).ravel()
+
+    return ProjectionOutcome(chi=chi_vec, phi=phi, psi=chi_vec - phi,
                              iterations=len(residuals) - 1,
                              residual=residuals[-1],
                              residuals=tuple(residuals), gauge=H)
@@ -223,9 +258,7 @@ def nonlinear_remainder(psi, tolerance: float = TOLERANCE) -> np.ndarray:
     """
     data = _newton_data()
     phi0 = data["phi0"]
-    pr = data["projectors"]
     psi_vec = _as_array(psi)
     outcome = theta_project(phi0 + psi_vec, tolerance=tolerance)
-    tangent_part = (pr["1"] + pr["7"] + pr["35"]) @ psi_vec
-    return phi0 + tangent_part - outcome.phi
+    return phi0 + data["off27"] @ psi_vec - outcome.phi
 

@@ -150,6 +150,28 @@ def test_verify_forms_detects_a_broken_form():
     assert "failed" in err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+def test_verify_forms_rejects_a_bad_tolerance(value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify-forms", "--with-newton", "--tolerance", value])
+    assert exc.value.code == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "--tolerance: must be a positive finite number" in err
+
+
+def test_verify_forms_reports_a_probe_that_does_not_converge():
+    # below the rounding floor no probe converges: each one fails with
+    # its ProjectionError, and no traceback reaches the command line
+    code, out, err = run_cli("verify-forms", "--with-newton",
+                             "--tolerance", "1e-300")
+    assert code == cli.EXIT_MATH
+    probes = [line for line in out.splitlines() if "direction" in line]
+    assert len(probes) == 9
+    assert all(line.startswith("  [FAIL] ") and "ProjectionError: no "
+               "convergence after 50 iterations" in line for line in probes)
+    assert err == "1 check(s) failed\n"
+
+
 def test_verify_forms_computes_the_two_form_split_once(monkeypatch):
     from spin7 import splits
     two_form_split, calls = splits.two_form_split, []

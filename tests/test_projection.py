@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from spin7 import projection, splits
 from spin7.forms import cayley_form
@@ -132,6 +133,84 @@ def test_projection_accepts_multivector_input():
     assert np.linalg.norm(out.psi) < 1e-12
     assert out.iterations == 0
     assert out.residuals == (out.residual,)
+
+
+def test_rank_27_inputs_take_no_step_and_return_phi0():
+    rng = np.random.default_rng(RNG_SEED)
+    pr27 = projection.type_projector("27")
+    for _ in range(5):
+        xi = pr27 @ rng.standard_normal(70)
+        for eps in (1e-2, 1e-3, 1e-4):
+            chi = PHI0 + eps * xi / np.linalg.norm(xi)
+            out = projection.theta_project(chi)
+            assert out.iterations == 0
+            assert np.array_equal(out.phi, PHI0)
+            assert np.array_equal(out.gauge, np.eye(8))
+            assert np.array_equal(out.psi, chi - PHI0)
+
+
+def _seeded_inputs():
+    """Generic and gauge-moved perturbations of the Cayley form."""
+    rng = np.random.default_rng(RNG_SEED)
+    pr27 = projection.type_projector("27")
+    for eps in (1e-2, 1e-3):
+        eta = rng.standard_normal(70)
+        yield PHI0 + eps * eta / np.linalg.norm(eta)
+        xi = pr27 @ rng.standard_normal(70)
+        a = rng.standard_normal((8, 8))
+        yield projection.apply_map(expm(0.1 * a / np.linalg.norm(a)),
+                                   PHI0 + eps * xi / np.linalg.norm(xi))
+
+
+def test_each_step_is_the_least_squares_gauss_newton_step():
+    # replay the iteration one step at a time: stopping at the k-th
+    # residual returns the gauge H_k after exactly k steps
+    data = projection._newton_data()
+    Q, R, W = data["Q"], data["R"], data["W"]
+    P_tan = Q @ Q.T
+    for chi in _seeded_inputs():
+        out = projection.theta_project(chi)
+        assert out.iterations >= 2
+        H = np.eye(8)
+        for k in range(1, out.iterations + 1):
+            u = projection.apply_map(H, chi) - PHI0
+            m_ref = np.linalg.lstsq(Q @ R, -P_tan @ u, rcond=None)[0]
+            m = -data["R_inv"] @ (data["Qt"] @ u)
+            assert np.abs(m - m_ref).max() <= 1e-12
+            step = projection.theta_project(chi, tolerance=out.residuals[k])
+            assert step.iterations == k
+            assert np.abs(step.gauge - H @ expm(np.tensordot(m_ref, W, 1))
+                          ).max() <= 1e-12
+            H = step.gauge
+
+
+def test_every_residual_is_the_tangential_norm():
+    data = projection._newton_data()
+    P_tan = data["Q"] @ data["Q"].T
+    for chi in _seeded_inputs():
+        out = projection.theta_project(chi)
+        gauges = [np.eye(8)] + [
+            projection.theta_project(chi, tolerance=r).gauge
+            for r in out.residuals[1:]]
+        for H, r in zip(gauges, out.residuals):
+            y = projection.apply_map(H, chi)
+            assert abs(r - np.linalg.norm(P_tan @ (y - PHI0))) <= 1e-15
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"tolerance": 0.0}, {"tolerance": -1e-12}, {"tolerance": float("nan")},
+    {"tolerance": float("inf")}, {"max_iterations": -1}])
+def test_bad_newton_parameters_rejected(kwargs):
+    with pytest.raises(ValueError):
+        projection.theta_project(PHI0, **kwargs)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_input_rejected(bad):
+    chi = PHI0.copy()
+    chi[5] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        projection.theta_project(chi)
 
 
 def test_residual_history_contracts_to_tolerance():
