@@ -172,6 +172,18 @@ def _positive_finite(text: str) -> float:
     return value
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of ``scan``'s sizes: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer, got {text!r}")
+    return value
+
+
 def _outcomes(key: str, results) -> list:
     """Items for (description, passed) pairs, keyed ``<key>.pass|fail``."""
     return [(f"[{'pass' if ok else 'FAIL'}] ",
@@ -284,17 +296,23 @@ def cmd_analyze(args) -> int:
 # scan
 # ---------------------------------------------------------------------------
 
-def _scan_items(candidates, fmt: str):
+def _scan_items(candidates, fmt: str, size: int):
     """The item that ``fmt`` prints for each candidate, made lazily: a scan
-    can have 10^4 of them."""
-    for c in candidates:
-        if fmt != "table":
+    can have 10^4 of them.  One ``%d`` format writes every ``size``-tuple
+    of weights, and one text serves each distinct reasons tuple."""
+    if fmt != "table":
+        slots = ",".join(["%d"] * size)
+        for c in candidates:
             yield (None, "candidate.accepted" if c.accepted
-                   else "candidate.rejected", c.weights)
-        elif c.accepted:
-            yield c.weights, None, ": accepted"
-        else:
-            yield c.weights, None, f": rejected: {'; '.join(c.reasons)}"
+                   else "candidate.rejected", slots % c.weights)
+        return
+    slots = "(" + ", ".join(["%d"] * size) + ")"
+    texts = {(): ": accepted"}
+    for weights, _, reasons in candidates:
+        text = texts.get(reasons)
+        if text is None:
+            text = texts[reasons] = f": rejected: {'; '.join(reasons)}"
+        yield slots % weights, None, text
 
 
 def cmd_scan(args) -> int:
@@ -304,7 +322,7 @@ def cmd_scan(args) -> int:
     print(render([
         (f"scan: ambient dimension {args.ambient_dim}, "
          f"max weight {args.max_weight}",
-         _scan_items(candidates, args.format)),
+         _scan_items(candidates, args.format, args.ambient_dim + 1)),
         (f"{accepted} candidate(s) accepted of {len(candidates)}", []),
     ], args.format))
     return EXIT_OK
@@ -346,8 +364,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_scan = sub.add_parser(
         "scan", help="scan weight systems for admissible candidates")
-    p_scan.add_argument("--max-weight", type=int, required=True)
-    p_scan.add_argument("--ambient-dim", type=int, default=4)
+    p_scan.add_argument("--max-weight", type=_positive_int, required=True)
+    p_scan.add_argument("--ambient-dim", type=_positive_int, default=4)
     p_scan.add_argument("--format", choices=("table", "structured"),
                         default="table")
     p_scan.set_defaults(func=cmd_scan)

@@ -107,28 +107,25 @@ def _require(condition: bool, message: str):
         raise SchemaError(message)
 
 
-def _is_int(value: Any) -> bool:
-    """JSON integers only: ``true``/``false`` are not the integers 1/0."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _object(value: Any, where: str, fields: set[str]) -> dict:
     """A JSON object whose keys all belong to ``fields``."""
     _require(isinstance(value, dict), f"{where} must be an object")
-    unknown = set(value) - fields
-    _require(not unknown, f"{where}: unknown fields {sorted(unknown)}")
+    unknown = value.keys() - fields
+    if unknown:
+        raise SchemaError(f"{where}: unknown fields {sorted(unknown)}")
     return value
 
 
 def _int_list(value: Any, where: str) -> tuple[int, ...]:
-    _require(isinstance(value, list) and all(_is_int(x) for x in value),
+    # JSON integers only: ``true``/``false`` are bools, not the ints 1/0
+    _require(isinstance(value, list) and set(map(type, value)) <= {int},
              f"{where} must be a list of integers")
     return tuple(value)
 
 
 def _positive_list(value: Any, where: str) -> tuple[int, ...]:
-    _require(isinstance(value, list) and all(_is_int(x) and x >= 1
-                                             for x in value),
+    _require(isinstance(value, list) and set(map(type, value)) <= {int}
+             and min(value, default=1) >= 1,
              f"{where} must be a list of positive integers")
     return tuple(value)
 
@@ -163,7 +160,7 @@ def load_config(text: str) -> Configuration:
              "divisor.degrees must extend variety.degrees by exactly one "
              "degree, the cut of D")
     h11 = divisor.get("h11", 1)
-    _require(_is_int(h11) and h11 >= 1, "divisor.h11 must be >= 1")
+    _require(type(h11) is int and h11 >= 1, "divisor.h11 must be >= 1")
 
     sigma_docs = doc["sigma"]
     _require(isinstance(sigma_docs, list) and sigma_docs,
@@ -174,7 +171,7 @@ def load_config(text: str) -> Configuration:
         s_degrees = _positive_list(s.get("degrees", []),
                                    f"sigma[{i}].degrees")
         mult = s.get("multiplicity", 1)
-        _require(_is_int(mult) and mult >= 1,
+        _require(type(mult) is int and mult >= 1,
                  f"sigma[{i}].multiplicity must be a positive integer")
         _require(n1 - 1 - len(s_degrees) == 2,
                  f"sigma[{i}] must describe a surface")
@@ -207,7 +204,7 @@ def load_config(text: str) -> Configuration:
             exps = _int_list(t.get("exponents", []), "term exponents")
             _require(len(exps) == n1, "term exponents must cover all "
                      "coordinates")
-            _require(all(e >= 0 for e in exps),
+            _require(min(exps, default=0) >= 0,
                      "term exponents must be nonnegative")
             coeff = t.get("coeff", "1")
             _require(isinstance(coeff, str), "term coeff must be a string")

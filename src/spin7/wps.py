@@ -22,6 +22,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 
 class UnsupportedError(ValueError):
@@ -82,24 +83,22 @@ class GaussianRational:
     def parse(cls, text: str) -> "GaussianRational":
         """Parse literals like '1', '-2/3', 'i', '-i', '2i', '1+2i'."""
         m = _COMPLEX_PATTERN.match(text)
-        if not m or (m.group("re") is None and m.group("im") is None):
-            raise ValueError(f"bad complex rational literal: {text!r}")
-        re_part = Fraction(m.group("re")) if m.group("re") else Fraction(0)
-        im_part = Fraction(0)
-        if m.group("im"):
-            body = m.group("im")[:-1]  # strip the trailing i
-            if body in ("", "+"):
-                im_part = Fraction(1)
-            elif body == "-":
-                im_part = Fraction(-1)
-            else:
-                im_part = Fraction(body)
-        return cls(re_part, im_part)
+        if m and (m["re"] is not None or m["im"] is not None):
+            # the parts from their digit groups, by int()
+            im_num = ("0" if m["im"] is None
+                      else m["im"] + (m["im_num"] or "1"))
+            try:
+                return cls(Fraction(int(m["re"] or 0), int(m["re_den"] or 1)),
+                           Fraction(int(im_num), int(m["im_den"] or 1)))
+            except ZeroDivisionError:  # a zero denominator
+                pass
+        raise ValueError(f"bad complex rational literal: {text!r}")
 
 
+# the group ``im`` is the sign of the imaginary part, "" when it has none
 _COMPLEX_PATTERN = re.compile(
-    r"^\s*(?P<re>[+-]?\d+(?:/\d+)?(?![0-9/]*i))?\s*"
-    r"(?P<im>[+-]?(?:\d+(?:/\d+)?)?i)?\s*$")
+    r"^\s*(?:(?P<re>[+-]?\d+)(?:/(?P<re_den>\d+))?(?![0-9/]*i))?\s*"
+    r"(?:(?P<im>[+-]?)(?:(?P<im_num>\d+)(?:/(?P<im_den>\d+))?)?i)?\s*$")
 
 I_UNIT = GaussianRational(Fraction(0), Fraction(1))
 _UNIT_POWERS = (GaussianRational(Fraction(1)), I_UNIT,
@@ -134,7 +133,7 @@ def parse_polynomial(entries) -> Polynomial:
     for exps, coeff in entries:
         c = (coeff if isinstance(coeff, GaussianRational)
              else GaussianRational.parse(str(coeff)))
-        key = tuple(int(e) for e in exps)
+        key = tuple(map(int, exps))
         if key in poly:
             raise ValueError(f"repeated monomial {key}")
         if c:
@@ -183,17 +182,18 @@ def singular_strata(space: WeightedSpace) -> list[SingularStratum]:
     enlarged without lowering the gcd.
 
     Such an S is exactly S_m = {i : m | a_i} for an m >= 2 with
-    gcd(a_i : i in S_m) = m, so the strata are indexed by divisors.
+    gcd(a_i : i in S_m) = m.  These m are the gcds >= 2 of nonempty sets
+    of weights: a set T with gcd g lies in S_g, whose gcd divides g.
     """
     a = space.weights
-    found = []
-    for m in range(2, max(a) + 1):
-        combo = tuple(i for i, w in enumerate(a) if not w % m)
-        if combo and math.gcd(*(a[i] for i in combo)) == m:
-            residues = tuple(w % m for w in a if w % m)
-            found.append(SingularStratum(combo, m, residues))
-    found.sort(key=lambda s: s.indices)
-    return found
+    orders: set[int] = set()
+    for w in set(a):
+        orders |= {math.gcd(w, g) for g in orders}
+        orders.add(w)
+    strata = [SingularStratum(tuple([i for i, w in enumerate(a) if not w % m]),
+                              m, tuple([w % m for w in a if w % m]))
+              for m in orders if m > 1]
+    return sorted(strata, key=lambda s: s.indices)
 
 
 # ---------------------------------------------------------------------------
@@ -235,11 +235,6 @@ class CompleteIntersectionDatum:
         return self.space.n - len(self.degrees)
 
 
-def _gcd_omitting(weights: tuple[int, ...], omit: set[int]) -> int:
-    rest = [a for i, a in enumerate(weights) if i not in omit]
-    return math.gcd(*rest) if rest else 0
-
-
 def well_formed(ci: CompleteIntersectionDatum) -> tuple[bool, list[str]]:
     """Divisibility conditions making adjunction valid.
 
@@ -255,12 +250,12 @@ def well_formed(ci: CompleteIntersectionDatum) -> tuple[bool, list[str]]:
     violations: list[str] = []
     n1 = len(a)
     for i in range(n1):
-        if _gcd_omitting(a, {i}) != 1:
+        if math.gcd(*a[:i], *a[i + 1:]) != 1:
             violations.append(
                 f"gcd of weights omitting index {i} is not 1")
     if k >= 1:
         for i, j in itertools.combinations(range(n1), 2):
-            g = _gcd_omitting(a, {i, j})
+            g = math.gcd(*a[:i], *a[i + 1:j], *a[j + 1:])
             if k == 1:
                 if ci.degrees[0] % g:
                     violations.append(
@@ -272,11 +267,11 @@ def well_formed(ci: CompleteIntersectionDatum) -> tuple[bool, list[str]]:
                         f"gcd {g} omitting indices {{{i},{j}}} does not "
                         f"divide both degrees {ci.degrees}")
     if k == 2:
-        for trio in itertools.combinations(range(n1), 3):
-            g = _gcd_omitting(a, set(trio))
+        for i, j, m in itertools.combinations(range(n1), 3):
+            g = math.gcd(*a[:i], *a[i + 1:j], *a[j + 1:m], *a[m + 1:])
             if all(d % g for d in ci.degrees):
                 violations.append(
-                    f"gcd {g} omitting indices {set(trio)} divides "
+                    f"gcd {g} omitting indices {({i, j, m})} divides "
                     f"neither degree of {ci.degrees}")
     return (not violations, violations)
 
@@ -595,8 +590,9 @@ def _fixed_locus_count(ci: CompleteIntersectionDatum, inv: InvolutionDatum,
 # admissibility scan
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ScanCandidate:
+class ScanCandidate(NamedTuple):
+    """A scanned weight tuple; ``reasons`` is empty exactly when accepted."""
+
     weights: tuple[int, ...]
     accepted: bool
     reasons: tuple[str, ...]
@@ -618,41 +614,43 @@ def scan_admissible(max_weight: int, ambient_dim: int) -> list[ScanCandidate]:
 
     The candidates come in increasing order of their weight tuples, the
     order in which ``combinations_with_replacement`` enumerates them.
+    Only tuples whose weights all divide their sum reach the checks of
+    ``well_formed`` and ``isolated_z4_check``.
     """
     results: list[ScanCandidate] = []
     if ambient_dim < 3:
         return results
-    n1 = ambient_dim + 1
+    gcd, lcm, append = math.gcd, math.lcm, results.append
+    # ScanCandidate(...) without its keyword handling: 10^4 records a scan
+    record = tuple.__new__
     for weights in itertools.combinations_with_replacement(
-            range(1, max_weight + 1), n1):
-        if math.gcd(*weights) != 1:
+            range(1, max_weight + 1), ambient_dim + 1):
+        if gcd(*weights) != 1:
             continue
         d = sum(weights)
-        if d % math.lcm(*weights):
-            results.append(ScanCandidate(weights, False, _NO_DIAGONAL_MEMBER))
+        # the largest weight, last, rejects most tuples before the lcm does
+        if d % weights[-1] or d % lcm(*weights):
+            append(record(ScanCandidate,
+                          (weights, False, _NO_DIAGONAL_MEMBER)))
             continue
         space = WeightedSpace(weights)
-        reasons: list[str] = []
-        exponents = tuple(d // a for a in weights)
-        member = CompleteIntersectionDatum(space, (d,), exponents)
-        ok_wf, violations = well_formed(member)
-        if not ok_wf:
-            reasons.extend(violations)
-        ambient = CompleteIntersectionDatum(space)
-        iso = isolated_z4_check(ambient)
+        member = CompleteIntersectionDatum(space, (d,),
+                                           tuple(d // a for a in weights))
+        reasons = well_formed(member)[1]
+        iso = isolated_z4_check(CompleteIntersectionDatum(space))
         if iso.k == 0:
             reasons.append("singular locus is empty")
-        reasons.extend(iso.reasons)  # empty when isolated with Z4 action
+        reasons += iso.reasons  # empty when isolated with Z4 action
         if iso.ok and iso.k:
             singular_support = set()
             for group in iso.points:
                 singular_support |= set(group.stratum.indices)
-            counts = Counter(weights[i] for i in range(n1)
+            counts = Counter(w for i, w in enumerate(weights)
                              if i not in singular_support)
             odd = [w for w, c in counts.items() if c % 2]
             if odd:
                 reasons.append(
                     "no weight-pairing involution: odd number of "
                     f"non-singular coordinates of weight {odd}")
-        results.append(ScanCandidate(weights, not reasons, tuple(reasons)))
+        append(ScanCandidate(weights, not reasons, tuple(reasons)))
     return results

@@ -7,7 +7,7 @@ import pathlib
 
 import pytest
 
-from spin7 import cli, config, invariants
+from spin7 import cli, config, invariants, wps
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
@@ -58,6 +58,16 @@ def test_load_dump_round_trip_is_canonical():
     pytest.param(lambda d: d["sigma"][0].__setitem__("degrees", [8, -8]),
                  "sigma\\[0\\].degrees must be a list of positive",
                  id="sigma-degree-negative"),
+    pytest.param(lambda d: d["ambient_weights"].__setitem__(0, True),
+                 "ambient_weights must be a list of integers",
+                 id="weight-true"),
+    pytest.param(lambda d: d["divisor"].__setitem__("degrees", [False]),
+                 "divisor.degrees must be a list of positive",
+                 id="divisor-degree-false"),
+    pytest.param(lambda d: d["polynomials"][0]["terms"][0].__setitem__(
+                     "coeff", "1/0"),
+                 "bad complex rational literal: '1/0'",
+                 id="coeff-zero-denominator"),
     pytest.param(lambda d: d["divisor"].__setitem__("degrees", [0]),
                  "divisor.degrees must be a list of positive",
                  id="divisor-degree-zero"),
@@ -338,3 +348,37 @@ def test_scan_structured_format():
                            "--format", "structured")
     assert code == cli.EXIT_OK
     assert "candidate.accepted = 1,1,1,1,4" in out
+
+
+@pytest.mark.parametrize("ambient_dim", [3, 6])
+def test_scan_lines_spell_each_weight_tuple(ambient_dim):
+    candidates = wps.scan_admissible(11, ambient_dim)
+    assert any(max(c.weights) >= 10 for c in candidates)
+    code, table, _ = run_cli("scan", "--max-weight", "11", "--ambient-dim",
+                             str(ambient_dim))
+    assert code == cli.EXIT_OK
+    accepted = sum(c.accepted for c in candidates)
+    assert table.splitlines() == [
+        f"scan: ambient dimension {ambient_dim}, max weight 11",
+        *(f"  {c.weights}: accepted" if c.accepted
+          else f"  {c.weights}: rejected: {'; '.join(c.reasons)}"
+          for c in candidates),
+        f"{accepted} candidate(s) accepted of {len(candidates)}"]
+    code, structured, _ = run_cli("scan", "--max-weight", "11",
+                                  "--ambient-dim", str(ambient_dim),
+                                  "--format", "structured")
+    assert code == cli.EXIT_OK
+    assert structured.splitlines() == [
+        f"candidate.{'accepted' if c.accepted else 'rejected'} = "
+        f"{','.join(map(str, c.weights))}" for c in candidates]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--max-weight", "-2"], ["--max-weight", "0"], ["--max-weight", "x"],
+    ["--max-weight", "4", "--ambient-dim", "-1"],
+    ["--max-weight", "4", "--ambient-dim", "0"]])
+def test_scan_rejects_a_size_below_one(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["scan", *argv])
+    assert exc.value.code == cli.EXIT_INPUT
+    assert "must be a positive integer" in capsys.readouterr().err

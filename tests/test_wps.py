@@ -59,6 +59,19 @@ def test_gaussian_parse_examples():
         GaussianRational.parse("bogus")
 
 
+# the digits are read by int(), which alone would also take "1_000"
+@pytest.mark.parametrize("text", [" 1 ", "+1", "01", "\u0661"])
+def test_gaussian_parse_accepts_these_spellings_of_one(text):
+    assert GaussianRational.parse(text) == GR(1)
+
+
+@pytest.mark.parametrize("text", ["1_000", "\u00b2", "1.0", "", "1/0",
+                                  "2/0i", "1+1/00i"])
+def test_gaussian_parse_rejects(text):
+    with pytest.raises(ValueError, match="bad complex rational literal"):
+        GaussianRational.parse(text)
+
+
 def test_unit_power_cycles():
     assert wps.unit_power(0) == GR(1)
     assert wps.unit_power(1) == GR(0, 1)
@@ -97,6 +110,45 @@ def test_well_formed_examples():
     deep = CompleteIntersectionDatum(space, (8, 8, 8))
     with pytest.raises(wps.UnsupportedError):
         wps.well_formed(deep)
+
+
+def _well_formed_by_omission(ci):
+    """Reference: the violations, each omitted gcd taken over the weights
+    whose index is not in a set."""
+    a, degrees = ci.space.weights, ci.degrees
+
+    def omitting(indices):
+        return math.gcd(*(w for i, w in enumerate(a) if i not in indices))
+
+    violations = [f"gcd of weights omitting index {i} is not 1"
+                  for i in range(len(a)) if omitting({i}) != 1]
+    for i, j in itertools.combinations(range(len(a)), 2) if degrees else ():
+        g = omitting({i, j})
+        if len(degrees) == 1 and degrees[0] % g:
+            violations.append(f"gcd {g} omitting indices {{{i},{j}}} does "
+                              f"not divide the degree {degrees[0]}")
+        if len(degrees) == 2 and any(d % g for d in degrees):
+            violations.append(f"gcd {g} omitting indices {{{i},{j}}} does "
+                              f"not divide both degrees {degrees}")
+    for trio in itertools.combinations(range(len(a)), 3):
+        g = omitting(set(trio))
+        if len(degrees) == 2 and all(d % g for d in degrees):
+            violations.append(f"gcd {g} omitting indices {set(trio)} "
+                              f"divides neither degree of {degrees}")
+    return violations
+
+
+@pytest.mark.parametrize("n1", [4, 5, 6])
+def test_well_formed_matches_the_omission_reference(n1):
+    for weights in itertools.combinations_with_replacement(range(1, 9), n1):
+        if math.gcd(*weights) != 1:
+            continue
+        space = WeightedSpace(weights)
+        d = sum(weights)
+        for degrees in ((), (d,), (2 * d, 12)):
+            ci = CompleteIntersectionDatum(space, degrees)
+            violations = _well_formed_by_omission(ci)
+            assert wps.well_formed(ci) == (not violations, violations)
 
 
 def test_singular_strata():
@@ -309,3 +361,91 @@ def test_scan_is_deterministic_and_finds_the_known_weights():
 def test_scan_low_dimension_and_weight_edge_cases():
     assert wps.scan_admissible(4, 2) == []
     assert all(not c.accepted for c in wps.scan_admissible(1, 4))
+
+
+def _sorted_tuples(max_weight, length, low=1):
+    """Nondecreasing tuples of weights in 1..max_weight, in increasing
+    order."""
+    if not length:
+        yield ()
+        return
+    for first in range(low, max_weight + 1):
+        for rest in _sorted_tuples(max_weight, length - 1, first):
+            yield (first,) + rest
+
+
+def _reference_scan(max_weight, ambient_dim):
+    """Reference: every coprime tuple, each through every check."""
+    found = []
+    for w in _sorted_tuples(max_weight, ambient_dim + 1):
+        if math.gcd(*w) != 1:
+            continue
+        d = sum(w)
+        if any(d % a for a in w):
+            found.append(wps.ScanCandidate(w, False, (
+                "anticanonical degree admits no diagonal member",)))
+            continue
+        space = WeightedSpace(w)
+        reasons = wps.well_formed(CompleteIntersectionDatum(
+            space, (d,), tuple(d // a for a in w)))[1]
+        iso = wps.isolated_z4_check(CompleteIntersectionDatum(space))
+        if not iso.k:
+            reasons.append("singular locus is empty")
+        reasons += iso.reasons
+        if iso.ok and iso.k:
+            on_points = {i for g in iso.points for i in g.stratum.indices}
+            rest = [a for i, a in enumerate(w) if i not in on_points]
+            odd = [a for a in dict.fromkeys(rest) if rest.count(a) % 2]
+            if odd:
+                reasons.append("no weight-pairing involution: odd number of "
+                               f"non-singular coordinates of weight {odd}")
+        found.append(wps.ScanCandidate(w, not reasons, tuple(reasons)))
+    return found
+
+
+@pytest.mark.parametrize("ambient_dim", [3, 4, 5, 6])
+def test_scan_matches_the_brute_force_reference(ambient_dim):
+    for max_weight in range(1, 9):
+        assert (wps.scan_admissible(max_weight, ambient_dim)
+                == _reference_scan(max_weight, ambient_dim)), max_weight
+
+
+def test_scan_returns_a_list_of_immutable_records():
+    # bench/tracing.py reads .weights, .accepted and .reasons of each
+    result = wps.scan_admissible(6, 4)
+    assert type(result) is list and result
+    for c in result:
+        assert type(c) is wps.ScanCandidate
+        assert c == wps.ScanCandidate(c.weights, c.accepted, c.reasons)
+        assert all(type(w) is int for w in c.weights)
+        assert c.accepted is (not c.reasons)
+        assert all(type(r) is str for r in c.reasons)
+    with pytest.raises(AttributeError):
+        result[0].accepted = True
+
+
+def test_only_tuples_with_a_diagonal_member_reach_the_checks(monkeypatch):
+    """The cheap divisibility rejection runs before well_formed and
+    isolated_z4_check, which see each surviving tuple once."""
+    calls = {"well_formed": 0, "isolated_z4_check": 0}
+
+    def counted(name):
+        original = getattr(wps, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(wps, name, counted(name))
+    ranges = [(mw, dim) for mw in range(6, 13) for dim in (4, 5)]
+    for mw, dim in ranges:
+        wps.scan_admissible(mw, dim)
+    survivors = sum(
+        math.gcd(*w) == 1 and not any(sum(w) % a for a in w)
+        for mw, dim in ranges
+        for w in itertools.combinations_with_replacement(
+            range(1, mw + 1), dim + 1))
+    assert survivors == 591
+    assert calls == {"well_formed": survivors, "isolated_z4_check": survivors}
