@@ -1,11 +1,19 @@
 """Exact exterior algebra on an oriented Euclidean R^n (n <= 9).
 
 Multivectors are antisymmetric tensors with rational coefficients, stored
-sparsely as a map from index bitmasks to nonzero ``Fraction`` values.  The
-monomial basis dx_I (I a strictly increasing index tuple) is orthonormal,
-and the orientation is fixed by declaring dx_1 ^ ... ^ dx_n the positive
-unit volume form.  All operations here are pure and exact; no floating
-point enters this module.
+sparsely as nonzero int numerators keyed by index bitmask over one
+positive denominator, in lowest terms.  The operations run on those ints:
+a product multiplies numerators and denominators, the Hodge star and the
+contraction with a basis vector only flip signs and pick terms, and a sum
+scales both forms to the lcm of their denominators.  Each result is
+reduced by one gcd.  ``Fraction`` appears only at the edges: the public
+constructor reads ``Fraction``-convertible coefficients, and ``terms``,
+``coefficient`` and ``items`` return them.
+
+The monomial basis dx_I (I a strictly increasing index tuple) is
+orthonormal, and the orientation is fixed by declaring dx_1 ^ ... ^ dx_n
+the positive unit volume form.  All operations here are pure and exact;
+no floating point enters this module.
 """
 
 from __future__ import annotations
@@ -13,6 +21,7 @@ from __future__ import annotations
 import itertools
 import re
 from fractions import Fraction
+from math import gcd, lcm
 from numbers import Rational
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -55,11 +64,15 @@ def merge_sign(mask_a: int, mask_b: int) -> int:
 class Multivector:
     """An exact degree-r form on oriented Euclidean R^n.
 
-    Immutable.  ``terms`` maps index bitmasks to nonzero rational
-    coefficients; bit i-1 of a mask corresponds to dx_i.
+    Immutable.  The form is ``numerators[mask] / denominator`` at each
+    listed index bitmask and zero elsewhere; bit i-1 of a mask corresponds
+    to dx_i.  The numerators are nonzero ints and the denominator a
+    positive int, always in lowest terms: ``gcd(*numerators.values(),
+    denominator) == 1``, so equal forms have equal fields.  ``terms`` is
+    the same form as a map from masks to ``Fraction`` coefficients.
     """
 
-    __slots__ = ("dimension", "degree", "terms")
+    __slots__ = ("dimension", "degree", "numerators", "denominator")
 
     def __init__(self, dimension: int, degree: int,
                  terms: Mapping[int, Scalar] | None = None):
@@ -67,31 +80,49 @@ class Multivector:
             raise ValueError(f"dimension must be in 1..{MAX_DIMENSION}")
         if not 0 <= degree <= dimension:
             raise ValueError("degree must satisfy 0 <= r <= n")
-        clean: dict[int, Fraction] = {}
+        clean: dict[int, tuple[int, int]] = {}  # reduced (p, q) by mask
         if terms:
             for mask, coeff in terms.items():
                 if mask < 0 or mask >= (1 << dimension):
                     raise ValueError("index mask out of range")
                 if bin(mask).count("1") != degree:
                     raise ValueError("mask degree mismatch")
-                # a Fraction is immutable: keep it rather than copy it
-                c = coeff if type(coeff) is Fraction else Fraction(coeff)
+                c = Fraction(coeff)
                 if c:
-                    clean[mask] = c
+                    clean[mask] = int(c.numerator), int(c.denominator)
+        # over the lcm of reduced denominators the numerators share no
+        # factor with it: a prime power dividing it exactly divides some
+        # coefficient's denominator, and not that coefficient's numerator
+        d = lcm(*[q for _, q in clean.values()])
         object.__setattr__(self, "dimension", dimension)
         object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "numerators", {
+            m: p * (d // q) for m, (p, q) in clean.items()})
+        object.__setattr__(self, "denominator", d)
 
     @classmethod
-    def _trusted(cls, dimension: int, degree: int,
-                 terms: dict[int, Fraction]) -> "Multivector":
-        """A form from terms that are valid by construction, with no check:
-        masks of the right range and degree, nonzero ``Fraction`` values."""
+    def _trusted(cls, dimension: int, degree: int, numerators: dict[int, int],
+                 denominator: int = 1) -> "Multivector":
+        """A form from fields that are valid by construction, with no check:
+        masks of the right range and degree, nonzero int numerators and a
+        positive denominator, in lowest terms."""
         form = object.__new__(cls)
         object.__setattr__(form, "dimension", dimension)
         object.__setattr__(form, "degree", degree)
-        object.__setattr__(form, "terms", terms)
+        object.__setattr__(form, "numerators", numerators)
+        object.__setattr__(form, "denominator", denominator)
         return form
+
+    @classmethod
+    def _reduced(cls, dimension: int, degree: int, numerators: dict[int, int],
+                 denominator: int) -> "Multivector":
+        """``_trusted`` for fields that may share a factor: divides it out."""
+        if denominator != 1:
+            g = gcd(denominator, *numerators.values())
+            if g != 1:
+                numerators = {m: x // g for m, x in numerators.items()}
+                denominator //= g
+        return cls._trusted(dimension, degree, numerators, denominator)
 
     def __setattr__(self, *_):
         raise AttributeError("Multivector is immutable")
@@ -146,28 +177,37 @@ class Multivector:
 
     # -- basic structure ----------------------------------------------
 
+    @property
+    def terms(self) -> dict[int, Fraction]:
+        """Index bitmask -> nonzero ``Fraction`` coefficient (a new dict)."""
+        d = self.denominator
+        return {m: Fraction(x, d) for m, x in self.numerators.items()}
+
     def coefficient(self, indices: Sequence[int]) -> Fraction:
-        return self.terms.get(_mask_of(indices, self.dimension), Fraction(0))
+        return Fraction(
+            self.numerators.get(_mask_of(indices, self.dimension), 0),
+            self.denominator)
 
     def items(self) -> list[tuple[tuple[int, ...], Fraction]]:
         """Terms as (increasing index tuple, coefficient), canonically ordered."""
         return sorted(((_indices_of(m), c) for m, c in self.terms.items()))
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.numerators
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.numerators)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Multivector)
                 and self.dimension == other.dimension
                 and self.degree == other.degree
-                and self.terms == other.terms)
+                and self.denominator == other.denominator
+                and self.numerators == other.numerators)
 
     def __hash__(self):
-        return hash((self.dimension, self.degree,
-                     tuple(sorted(self.terms.items()))))
+        return hash((self.dimension, self.degree, self.denominator,
+                     frozenset(self.numerators.items())))
 
     def __repr__(self) -> str:
         return (f"Multivector(n={self.dimension}, r={self.degree}, "
@@ -182,26 +222,45 @@ class Multivector:
             raise ValueError("dimension mismatch")
         if self.degree != other.degree:
             raise ValueError("cannot add forms of different degree")
-        acc = dict(self.terms)
-        for m, c in other.terms.items():
-            prev = acc.get(m)
-            acc[m] = c if prev is None else prev + c
-        return Multivector._trusted(self.dimension, self.degree,
-                                    {m: c for m, c in acc.items() if c})
+        da, db = self.denominator, other.denominator
+        if da == db:
+            acc = dict(self.numerators)
+            for m, x in other.numerators.items():
+                prev = acc.get(m)
+                acc[m] = x if prev is None else prev + x
+            d = da
+        else:
+            d = lcm(da, db)
+            sa, sb = d // da, d // db
+            acc = {m: x * sa for m, x in self.numerators.items()}
+            for m, x in other.numerators.items():
+                prev = acc.get(m)
+                acc[m] = x * sb if prev is None else prev + x * sb
+        return Multivector._reduced(self.dimension, self.degree,
+                                    {m: x for m, x in acc.items() if x}, d)
 
     def __sub__(self, other: "Multivector") -> "Multivector":
         return self + -other
 
     def __neg__(self) -> "Multivector":
-        return Multivector._trusted(self.dimension, self.degree,
-                                    {m: -c for m, c in self.terms.items()})
+        return Multivector._trusted(
+            self.dimension, self.degree,
+            {m: -x for m, x in self.numerators.items()}, self.denominator)
 
     def __mul__(self, scalar: Scalar) -> "Multivector":
-        if not isinstance(scalar, Rational):
+        if type(scalar) is int:
+            p, q = scalar, 1
+        elif isinstance(scalar, Rational):
+            s = Fraction(scalar)
+            p, q = int(s.numerator), int(s.denominator)
+        else:
             return NotImplemented
-        s = Fraction(scalar)
-        return Multivector._trusted(self.dimension, self.degree, {
-            m: c * s for m, c in self.terms.items()} if s else {})
+        if not p:
+            return Multivector._trusted(self.dimension, self.degree, {})
+        return Multivector._reduced(
+            self.dimension, self.degree,
+            {m: x * p for m, x in self.numerators.items()},
+            self.denominator * q)
 
     __rmul__ = __mul__
 
@@ -221,18 +280,19 @@ def wedge(a: Multivector, b: Multivector) -> Multivector:
     degree = a.degree + b.degree
     if degree > n:
         return Multivector.zero(n, n)  # canonical zero of top degree
-    acc: dict[int, Fraction] = {}
-    for ma, ca in a.terms.items():
-        for mb, cb in b.terms.items():
+    acc: dict[int, int] = {}
+    for ma, xa in a.numerators.items():
+        for mb, xb in b.numerators.items():
             if ma & mb:
                 continue
-            c = ca * cb
+            x = xa * xb
             if merge_sign(ma, mb) < 0:
-                c = -c
+                x = -x
             m = ma | mb
             prev = acc.get(m)
-            acc[m] = c if prev is None else prev + c
-    return Multivector._trusted(n, degree, {m: c for m, c in acc.items() if c})
+            acc[m] = x if prev is None else prev + x
+    return Multivector._reduced(n, degree, {m: x for m, x in acc.items() if x},
+                                a.denominator * b.denominator)
 
 
 def hodge_star(a: Multivector) -> Multivector:
@@ -243,11 +303,11 @@ def hodge_star(a: Multivector) -> Multivector:
     """
     n = a.dimension
     full = (1 << n) - 1
-    acc: dict[int, Fraction] = {}
-    for m, c in a.terms.items():
+    acc: dict[int, int] = {}
+    for m, x in a.numerators.items():
         comp = full ^ m
-        acc[comp] = c if merge_sign(m, comp) > 0 else -c
-    return Multivector._trusted(n, n - a.degree, acc)
+        acc[comp] = x if merge_sign(m, comp) > 0 else -x
+    return Multivector._trusted(n, n - a.degree, acc, a.denominator)
 
 
 def contract(v, a: Multivector) -> Multivector:
@@ -259,35 +319,43 @@ def contract(v, a: Multivector) -> Multivector:
         raise ValueError("cannot contract a 0-form")
     n = a.dimension
     if isinstance(v, int):
-        components = {v: Fraction(1)}
-    else:
-        components = {i + 1: Fraction(c) for i, c in enumerate(v) if c}
-        if len(v) != n:
-            raise ValueError("vector length must equal the dimension")
-    acc: dict[int, Fraction] = {}
-    for m, c in a.terms.items():
-        for k, vk in components.items():
+        # each term with dx_v goes to its own monomial, so none cancel;
+        # dropping the others can leave a common factor
+        bit = 1 << (v - 1)
+        return Multivector._reduced(n, a.degree - 1, {
+            m ^ bit: x if merge_sign(bit, m ^ bit) > 0 else -x
+            for m, x in a.numerators.items() if m & bit}, a.denominator)
+    if len(v) != n:
+        raise ValueError("vector length must equal the dimension")
+    components = [(k, Fraction(c)) for k, c in enumerate(v, 1) if c]
+    q = lcm(*[c.denominator for _, c in components])
+    acc: dict[int, int] = {}
+    for m, x in a.numerators.items():
+        for k, c in components:
             bit = 1 << (k - 1)
             if not m & bit:
                 continue
             m2 = m ^ bit
-            acc[m2] = (acc.get(m2, 0)
-                       + merge_sign(bit, m2) * vk * c)
-    return Multivector._trusted(n, a.degree - 1,
-                                {m: c for m, c in acc.items() if c})
+            y = merge_sign(bit, m2) * c.numerator * (q // c.denominator) * x
+            acc[m2] = acc.get(m2, 0) + y
+    return Multivector._reduced(n, a.degree - 1,
+                                {m: x for m, x in acc.items() if x},
+                                a.denominator * q)
 
 
 def inner(a: Multivector, b: Multivector) -> Fraction:
     """Euclidean inner product; the monomial basis is orthonormal."""
     if a.dimension != b.dimension or a.degree != b.degree:
         raise ValueError("inner product needs equal dimension and degree")
-    total = Fraction(0)
-    small, large = (a.terms, b.terms) if len(a.terms) <= len(b.terms) else (b.terms, a.terms)
-    for m, c in small.items():
-        d = large.get(m)
-        if d is not None:
-            total += c * d
-    return total
+    small, large = a.numerators, b.numerators
+    if len(small) > len(large):
+        small, large = large, small
+    total = 0
+    for m, x in small.items():
+        y = large.get(m)
+        if y is not None:
+            total += x * y
+    return Fraction(total, a.denominator * b.denominator)
 
 
 def volume_form(n: int) -> Multivector:
@@ -321,14 +389,16 @@ def g2_split(phi4: Multivector) -> tuple[Multivector, Multivector]:
     """
     if phi4.dimension != 8 or phi4.degree != 4:
         raise ValueError("expected a 4-form on R^8")
-    with_dx1: dict[int, Fraction] = {}
-    without: dict[int, Fraction] = {}
-    for m, c in phi4.terms.items():
+    with_dx1: dict[int, int] = {}
+    without: dict[int, int] = {}
+    for m, x in phi4.numerators.items():
         if m & 1:
-            with_dx1[(m >> 1)] = c  # drop x1, shift x_{j+1} -> x_j
+            with_dx1[(m >> 1)] = x  # drop x1, shift x_{j+1} -> x_j
         else:
-            without[(m >> 1)] = c
-    return (Multivector(7, 3, with_dx1), Multivector(7, 4, without))
+            without[(m >> 1)] = x
+    d = phi4.denominator
+    return (Multivector._reduced(7, 3, with_dx1, d),
+            Multivector._reduced(7, 4, without, d))
 
 
 def g2_phi() -> Multivector:
@@ -345,12 +415,12 @@ def cylinder_form(phi: Multivector) -> Multivector:
     if phi.dimension != 7 or phi.degree != 3:
         raise ValueError("expected a 3-form on R^7")
     star7 = hodge_star(phi)
-    terms: dict[int, Fraction] = {}
-    for m, c in phi.terms.items():
-        terms[(m << 1) | 1] = c
-    for m, c in star7.terms.items():
-        terms[m << 1] = c
-    return Multivector(8, 4, terms)
+    # the star keeps phi's numerators and denominator, so the union of
+    # both is in lowest terms
+    numerators = {(m << 1) | 1: x for m, x in phi.numerators.items()}
+    for m, x in star7.numerators.items():
+        numerators[m << 1] = x
+    return Multivector._trusted(8, 4, numerators, phi.denominator)
 
 
 def su4_forms() -> tuple[Multivector, Multivector, Multivector]:

@@ -4,10 +4,10 @@ A ``Row`` is a pair ``(entries, denominator)``: ``entries`` lists
 ``(column, int)`` pairs with nonzero ints, each column at most once, and
 the row holds ``x / denominator`` at each listed column and zero elsewhere.
 The rows that ``echelon`` and ``kernel`` return list their columns in
-increasing order and share one positive denominator.  Matrices have at most
-70 columns, the space of 4-forms on R^8.  ``echelon`` is the one
-elimination kernel; it eliminates modulo a prime and certifies the result
-in exact integers:
+increasing order and share one positive denominator.  Nothing bounds the
+number of columns; the splits pass at most 70, the space of 4-forms on
+R^8.  ``echelon`` is the one elimination kernel; it eliminates modulo a
+prime and certifies the result in exact integers:
 
 1. a row and its numerators span the same line, so denominators play no
    part in the elimination;

@@ -55,8 +55,9 @@ def form_to_array(a: Multivector) -> np.ndarray:
     if a.dimension != 8 or a.degree != 4:
         raise ValueError("expected a 4-form on R^8")
     out = np.zeros(70)
-    for mask, coeff in a.terms.items():
-        out[_MASK_INDEX[mask]] = float(coeff)
+    d = a.denominator
+    for mask, x in a.numerators.items():
+        out[_MASK_INDEX[mask]] = x / d  # int division rounds correctly
     return out
 
 

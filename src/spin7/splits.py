@@ -18,6 +18,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from spin7.forms import (
     Multivector, contract, cylinder_form, g2_split, hodge_star, inner,
@@ -49,9 +50,12 @@ def _columns(n: int, r: int) -> dict[int, int]:
 
 
 def to_coords(a: Multivector) -> Row:
-    """The coefficients of ``a`` on the monomial basis, as a row."""
+    """The coefficients of ``a`` on the monomial basis, as a row.  A form's
+    lowest-terms denominator is the lcm of its coefficients' denominators,
+    so this is ``linalg.row`` of its coefficients."""
     columns = _columns(a.dimension, a.degree)
-    return linalg.row([(columns[m], c) for m, c in a.terms.items()])
+    return ([(columns[m], x) for m, x in a.numerators.items()],
+            a.denominator)
 
 
 def from_coords(v: Row, n: int, r: int) -> Multivector:
@@ -59,19 +63,23 @@ def from_coords(v: Row, n: int, r: int) -> Multivector:
     basis."""
     masks = monomial_masks(n, r)
     entries, d = v
-    return Multivector._trusted(n, r, {masks[j]: Fraction(x, d)
-                                       for j, x in entries})
+    return Multivector._reduced(n, r, {masks[j]: x for j, x in entries}, d)
 
 
 def operator_matrix(op, n: int, r_in: int, r_out: int) -> list[Row]:
     """Rows of a linear map Lambda^r_in -> Lambda^r_out in monomial bases:
-    entry (i, j) is the coefficient of out monomial i in op(in monomial j)."""
+    entry (i, j) is the coefficient of out monomial i in op(in monomial j).
+    The rows share the lcm of the images' denominators."""
     columns = _columns(n, r_out)
-    rows: list[list] = [[] for _ in columns]
-    for j, m in enumerate(monomial_masks(n, r_in)):
-        for mask, c in op(Multivector(n, r_in, {m: 1})).terms.items():
-            rows[columns[mask]].append((j, c))
-    return [linalg.row(entries) for entries in rows]
+    images = [op(Multivector._trusted(n, r_in, {m: 1}))
+              for m in monomial_masks(n, r_in)]
+    d = lcm(*[image.denominator for image in images])
+    rows: list[list[tuple[int, int]]] = [[] for _ in columns]
+    for j, image in enumerate(images):
+        scale = d // image.denominator
+        for mask, x in image.numerators.items():
+            rows[columns[mask]].append((j, x * scale))
+    return [(entries, d) for entries in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -100,18 +108,17 @@ def action_matrix(form: Multivector) -> list[Row]:
     elementary matrix E_ij, which replaces dx_i by dx_j.  A (row, column)
     pair determines the source monomial, so every nonzero entry is plus or
     minus one coefficient of the form: it is picked from (c, -c) by sign
-    and never multiplied.  The rows share the lcm of the form's
-    denominators and list their columns in no particular order.
+    and never multiplied.  The rows share the form's denominator and list
+    their columns in no particular order.
     """
     n = form.dimension
     rows: list[list[tuple[int, int]]] = [
         [] for _ in monomial_masks(n, form.degree)]
-    terms, d = linalg.row(list(form.terms.items()))  # integer coefficients
-    for mask, c in terms:
+    for mask, c in form.numerators.items():
         pair = (c, -c)
         for row, col, negated in _monomial_action(n, mask):
             rows[row].append((col, pair[negated]))
-    return [(r, d) for r in rows]
+    return [(r, form.denominator) for r in rows]
 
 
 def infinitesimal_action(A: Matrix, form: Multivector) -> Multivector:
@@ -153,13 +160,33 @@ class TypeSplit:
         raise KeyError(f"no block labeled {label!r}")
 
     def project(self, label: str, a: Multivector) -> Multivector:
-        """Exact orthogonal projection of ``a`` onto the labeled block."""
-        basis = self.basis(label)
-        gram = [[inner(u, v) for v in basis] for u in basis]
-        coeffs = linalg.solve(gram, [inner(u, a) for u in basis])
-        assert coeffs is not None  # Gram matrix of independent vectors
-        return sum((c * b for c, b in zip(coeffs, basis) if c),
-                   Multivector.zero(self.dimension, self.degree))
+        """Exact orthogonal projection of ``a`` onto the labeled block.
+
+        Over the numerators U, V of the basis forms and A of ``a``, the
+        projection is sum_V z_V V / (denominator of a), where z solves the
+        integer Gram system sum_V (U.V) z_V = U.A; one ``echelon`` call on
+        the augmented rows solves it."""
+        basis = [b.numerators for b in self.basis(label)]
+        k = len(basis)
+
+        def dot(u: dict[int, int], v: dict[int, int]) -> int:
+            return sum(x * v[m] for m, x in u.items() if m in v)
+
+        rows = [([(j, g) for j, v in enumerate([*basis, a.numerators])
+                  if (g := dot(u, v))], 1) for u in basis]
+        reduced, pivots = linalg.echelon(rows)
+        # the Gram matrix of independent vectors is invertible
+        assert pivots == list(range(k))
+        acc: dict[int, int] = {}
+        for (entries, _), v in zip(reduced, basis):
+            j, z = entries[-1]  # the augmented column is the last
+            if j == k:
+                for m, x in v.items():
+                    acc[m] = acc.get(m, 0) + z * x
+        scale = reduced[0][1] if reduced else 1  # shared by the rows
+        return Multivector._reduced(self.dimension, self.degree,
+                                    {m: x for m, x in acc.items() if x},
+                                    scale * a.denominator)
 
 
 def _eigenspaces(op, n: int, r: int,
@@ -349,11 +376,15 @@ class CylinderTypes:
 
 def _lift_one_form(beta7: Multivector) -> Multivector:
     """dt ^ beta for a 1-form beta on R^7 (t is x_1 of R^8)."""
-    return Multivector(8, 2, {(m << 1) | 1: c for m, c in beta7.terms.items()})
+    return Multivector._trusted(
+        8, 2, {(m << 1) | 1: x for m, x in beta7.numerators.items()},
+        beta7.denominator)
 
 
 def _lift_two_form(gamma7: Multivector) -> Multivector:
-    return Multivector(8, 2, {m << 1: c for m, c in gamma7.terms.items()})
+    return Multivector._trusted(
+        8, 2, {m << 1: x for m, x in gamma7.numerators.items()},
+        gamma7.denominator)
 
 
 def cylinder_two_form_types(split: TypeSplit) -> CylinderTypes:
@@ -380,7 +411,8 @@ def cylinder_two_form_types(split: TypeSplit) -> CylinderTypes:
     duals = [hat(v) for v in contractions]
     seven = [_lift_one_form(h) + 3 * _lift_two_form(v)
              for v, h in zip(contractions, duals)]
-    alphas = [Multivector(7, 2, {m: 1}) for m in monomial_masks(7, 2)]
+    alphas = [Multivector._trusted(7, 2, {m: 1})
+              for m in monomial_masks(7, 2)]
     twentyone = [_lift_one_form(hat(a)) - _lift_two_form(a) for a in alphas]
 
     def rank(forms) -> int:

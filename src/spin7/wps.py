@@ -239,7 +239,8 @@ def well_formed(ci: CompleteIntersectionDatum) -> tuple[bool, list[str]]:
     """Divisibility conditions making adjunction valid.
 
     Supports the ambient space itself and complete intersections of at
-    most two hypersurfaces; raises ``UnsupportedError`` beyond that.
+    most two hypersurfaces of positive dimension; raises
+    ``UnsupportedError`` beyond that.
     """
     a = ci.space.weights
     k = len(ci.degrees)
@@ -247,6 +248,11 @@ def well_formed(ci: CompleteIntersectionDatum) -> tuple[bool, list[str]]:
         raise UnsupportedError(
             "unsupported: general well-formedness for three or more "
             "hypersurfaces")
+    if k and len(a) == k + 1:
+        # the conditions below omit k + 1 indices, which leaves no weight
+        raise UnsupportedError(
+            f"unsupported: well-formedness of {k} hypersurface(s) in a "
+            f"space of {len(a)} weights, a zero-dimensional intersection")
     violations: list[str] = []
     n1 = len(a)
     for i in range(n1):

@@ -1,5 +1,6 @@
 """Exact multivector arithmetic and the distinguished forms."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -134,10 +135,20 @@ class _Tagged(Fraction):
 
 @pytest.mark.parametrize("kind", [int, Fraction, _Tagged])
 def test_coefficients_are_stored_as_fractions(kind):
+    # stored as int numerators over one denominator; ``terms`` is the
+    # Fraction view of them
     a = Multivector(4, 2, {0b0011: kind(2), 0b0101: kind(0),
                            0b1100: kind(-3)})
     assert a.terms == {0b0011: 2, 0b1100: -3}  # the zero is dropped
     assert all(type(c) is Fraction for c in a.terms.values())
+    assert (a.numerators, a.denominator) == ({0b0011: 2, 0b1100: -3}, 1)
+    assert all(type(x) is int for x in [*a.numerators.values(),
+                                        a.denominator])
+    sixth = a / kind(6)  # 1/3 and -1/2, over the lcm of 3 and 2
+    assert (sixth.numerators, sixth.denominator) == (
+        {0b0011: 2, 0b1100: -3}, 6)
+    assert sixth.terms == {0b0011: Fraction(1, 3), 0b1100: Fraction(-1, 2)}
+    assert all(type(c) is Fraction for c in sixth.terms.values())
 
 
 def test_from_coords_reads_sparse_rows():
@@ -173,6 +184,35 @@ def test_operation_results_equal_the_checked_construction(a, b, c, s):
         assert all(type(x) is Fraction and x for x in r.terms.values())
         assert all(0 <= m < 1 << r.dimension and m.bit_count() == r.degree
                    for m in r.terms)
+
+
+def _in_lowest_terms(a) -> bool:
+    """Nonzero int numerators over a positive int denominator, gcd 1."""
+    return (all(type(x) is int and x for x in a.numerators.values())
+            and type(a.denominator) is int and a.denominator > 0
+            and math.gcd(a.denominator, *a.numerators.values()) == 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(forms(4, 1), forms(4, 2), forms(4, 2),
+       st.fractions(min_value=-3, max_value=3, max_denominator=4),
+       st.integers(min_value=1, max_value=12))
+def test_forms_are_int_numerators_in_lowest_terms(a, b, c, s, k):
+    results = [wedge(a, b), wedge(a, a), wedge(b, c), hodge_star(b),
+               contract(1, b), contract(3, c),
+               contract([1, 0, Fraction(1, 2), -2], b), inner(b, c) * b,
+               b + c, b + (-b), b - c, s * b, -c, b / 3, *g2_split(
+                   cylinder_form(wedge(g2_phi(), Multivector.scalar(7, s)))),
+               splits.from_coords(splits.to_coords(c), 4, 2)]
+    assert all(_in_lowest_terms(r) for r in results)
+    # equal forms built by different routes have equal fields and hashes
+    entries, d = splits.to_coords(b)
+    unreduced = ([(j, k * x) for j, x in entries], k * d)
+    for route in [(3 * b) / 3, b + c - c, c + b - c,
+                  splits.from_coords(unreduced, 4, 2)]:
+        assert route == b and hash(route) == hash(b)
+        assert (route.numerators, route.denominator) == (b.numerators,
+                                                         b.denominator)
 
 
 @pytest.mark.parametrize("terms", [

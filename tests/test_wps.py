@@ -112,6 +112,18 @@ def test_well_formed_examples():
         wps.well_formed(deep)
 
 
+@pytest.mark.parametrize("weights, degrees", [
+    ((1, 1), (2,)),         # one hypersurface in a weighted projective line
+    ((1, 1, 2), (2, 4)),    # two hypersurfaces in a weighted plane
+])
+def test_well_formed_rejects_a_zero_dimensional_intersection(weights,
+                                                              degrees):
+    # every index set omitted leaves no weight, whose gcd is 0
+    ci = CompleteIntersectionDatum(WeightedSpace(weights), degrees)
+    with pytest.raises(wps.UnsupportedError, match="zero-dimensional"):
+        wps.well_formed(ci)
+
+
 def _well_formed_by_omission(ci):
     """Reference: the violations, each omitted gcd taken over the weights
     whose index is not in a set."""
