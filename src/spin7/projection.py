@@ -9,11 +9,15 @@ complement of the stabilizer algebra in gl(8).
 
 This is the only module of the package that uses floating point; the
 subspace data it consumes is computed exactly in :mod:`spin7.splits` and
-converted to floats once.
+converted to floats once.  It needs numpy alone: the exponentials of the
+Newton steps come from ``expm``, a Taylor series of bounded degree with
+scaling and squaring (the step generators have 1-norms far below 1/2,
+where the degree is small and no squaring is needed).
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -21,7 +25,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import expm, solve_triangular
 
 from spin7 import linalg, splits
 from spin7.forms import Multivector, cayley_form
@@ -43,6 +46,31 @@ _SCATTER_FLAT = _FLAT.ravel()
 _SCATTER_SIGN = np.tile(_PERM_SIGNS, len(_QUADS))
 _SCATTER_SOURCE = np.repeat(np.arange(len(_QUADS)), len(_PERMS))
 _GATHER_FLAT = _FLAT[:, 0]
+
+
+def _taylor_thetas(top: float) -> list[float]:
+    """theta_m for m = 1, 2, ...: the largest x with x^(m+1)/(m+1)! e^x
+    <= 2^-53, a bound on the truncation error of the degree-m Taylor
+    polynomial of exp at a matrix of 1-norm x, relative to exp(x).  The
+    list stops at the first theta_m >= top."""
+    log_unit = -53 * math.log(2)
+    thetas: list[float] = []
+    while not thetas or thetas[-1] < top:
+        m = len(thetas) + 1
+        lo, hi = 0.0, 1.0  # the bound exceeds 2^-53 at x = 1 for m < 17
+        for _ in range(60):
+            mid = (lo + hi) / 2
+            if (m + 1) * math.log(mid) - math.lgamma(m + 2) + mid <= log_unit:
+                lo = mid
+            else:
+                hi = mid
+        thetas.append(lo)
+    return thetas
+
+
+_THETAS = _taylor_thetas(0.5)  # expm scales X down to a 1-norm of 1/2
+_INVERSE_FACTORIALS = [1 / math.factorial(k) for k in range(len(_THETAS) + 1)]
+_SCALED_EYES = [c * np.eye(8) for c in _INVERSE_FACTORIALS]  # I / k!
 
 
 class ProjectionError(RuntimeError):
@@ -88,8 +116,40 @@ def apply_map(g: np.ndarray, v: np.ndarray) -> np.ndarray:
     return _push(_scatter(v), g).reshape(v.shape)
 
 
+def expm(X: np.ndarray) -> np.ndarray:
+    """The matrix exponential of an 8 x 8 matrix, by its Taylor series.
+
+    The degree is the least m with theta_m >= |X|_1 (``_THETAS``), so the
+    truncation error is at most 2^-53 exp(|X|_1), and the polynomial
+    sum_k X^k / k! is evaluated by Horner's rule.  Above |X|_1 = 1/2, X
+    is first halved s times, to a 1-norm below 1/2, and the result is
+    squared s times.  A NaN or an infinite entry gives a matrix of NaNs;
+    a finite X whose exponential overflows gives a non-finite matrix.
+    """
+    norm = float(np.abs(X).sum(axis=0).max())
+    if not math.isfinite(norm):
+        return np.full(X.shape, np.nan)
+    s = math.frexp(norm)[1] + 1 if norm > 0.5 else 0
+    if s:  # scale by 2^-s, to a 1-norm in [1/4, 1/2)
+        X = np.ldexp(X, -s)
+        norm = math.ldexp(norm, -s)
+    m = bisect.bisect_left(_THETAS, norm) + 1
+    P = X * _INVERSE_FACTORIALS[m]
+    P += _SCALED_EYES[m - 1]
+    for k in range(m - 2, -1, -1):
+        P = X @ P
+        P += _SCALED_EYES[k]
+    for _ in range(s):
+        P = P @ P
+    return P
+
+
 def _scatter(v: np.ndarray) -> np.ndarray:
     """The antisymmetric 8^4 tensors of the columns of v, as 4096 x k."""
+    if v.ndim == 1:  # one vector: no column axis to broadcast
+        t = np.zeros(8 ** 4)
+        t[_SCATTER_FLAT] = _SCATTER_SIGN * v[_SCATTER_SOURCE]
+        return t[:, None]
     cols = v.reshape(70, -1)
     t = np.zeros((8 ** 4, cols.shape[1]))
     t[_SCATTER_FLAT] = _SCATTER_SIGN[:, None] * cols[_SCATTER_SOURCE]
@@ -110,11 +170,13 @@ def _newton_data() -> dict:
     phi0 = cayley_form()
     stab = splits.stabilizer_dimension(phi0)
     # 43-dimensional Frobenius-orthogonal complement of the stabilizer
-    stab_rows = [[A[i][j] for i in range(8) for j in range(8)]
+    stab_rows = [linalg.row([(8 * i + j, x) for i, A_i in enumerate(A)
+                             for j, x in enumerate(A_i) if x])
                  for A in stab.basis]
-    complement = linalg.nullspace(stab_rows)
+    complement = linalg.kernel(stab_rows, 64)
     assert len(complement) == 43
-    W = np.array(complement, dtype=float).reshape(43, 8, 8)
+    W = np.array([linalg.dense(v, 64) for v in complement],
+                 dtype=float).reshape(43, 8, 8)
 
     # tangent directions of the orbit at phi0, the 70 x 43 matrix D = QR.
     # The action matrix of phi0 has entries 0, +-1 and the complement basis
@@ -142,7 +204,7 @@ def _newton_data() -> dict:
         # the Gauss-Newton step m = -R^{-1} Q^T u, the least-squares
         # solution of D m = -u, from two stored matrices
         "Qt": np.ascontiguousarray(Q.T),
-        "R_inv": solve_triangular(R, np.eye(43)),
+        "R_inv": np.linalg.inv(R),
         "projectors": projectors,
         "off27": projectors["1"] + projectors["7"] + projectors["35"],
     }
@@ -189,8 +251,9 @@ def theta_project(chi, tolerance: float = TOLERANCE,
     """Split chi = Phi + psi with Phi admissible and psi of rank-27 type.
 
     Newton iteration with the tangent fixed at Phi0 (the chord method):
-    maintain y = (Lambda^4 H) chi and update H by exponentials of
-    stabilizer-complement directions until the component of y - Phi0
+    maintain y = (Lambda^4 H) chi and update H <- H expm(m W) by
+    exponentials of stabilizer-complement directions (``expm`` above; the
+    first step sets H = expm(m W)) until the component of y - Phi0
     tangent to the orbit vanishes.  Each step is the least-squares
     solution of D m = -(tangent part) for the 70 x 43 matrix D = QR of
     orbit directions at Phi0: with t = Q^T (y - Phi0), the residual is
@@ -218,9 +281,8 @@ def theta_project(chi, tolerance: float = TOLERANCE,
 
     t = Qt @ (chi_vec - phi0)
     residuals = [math.sqrt(t @ t)]
-    H = np.eye(8)
     if residuals[0] <= tolerance:
-        phi = phi0.copy()  # no step: Phi is Phi0 itself
+        phi, H = phi0.copy(), np.eye(8)  # no step: Phi is Phi0 itself
     else:
         chi_tensor = _scatter(chi_vec)
         while not residuals[-1] <= tolerance:  # a NaN residual enters
@@ -238,7 +300,8 @@ def theta_project(chi, tolerance: float = TOLERANCE,
                     "neighbourhood of the orbit, or the tolerance is below "
                     "the rounding floor")
             m = -(R_inv @ t)
-            H = H @ expm((m @ W64).reshape(8, 8))
+            E = expm((m @ W64).reshape(8, 8))
+            H = E if iterations == 0 else H @ E
             t = Qt @ (_push(chi_tensor, H).ravel() - phi0)
             residuals.append(math.sqrt(t @ t))
         phi = _push(data["phi0_tensor"], np.linalg.inv(H)).ravel()

@@ -1,5 +1,10 @@
 """Floating-point Newton projection onto the admissible orbit."""
 
+import math
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +16,7 @@ from spin7.forms import cayley_form
 
 PHI0 = projection.form_to_array(cayley_form())
 RNG_SEED = 20260823
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def test_form_array_round_trip():
@@ -261,3 +267,110 @@ def test_far_inputs_raise_projection_error():
 def test_bad_shape_rejected():
     with pytest.raises(ValueError):
         projection.theta_project(np.zeros(3))
+
+
+def _generators(norm, count=20):
+    """Seeded random 8 x 8 matrices scaled to the given 1-norm."""
+    rng = np.random.default_rng(RNG_SEED)
+    for _ in range(count):
+        X = rng.standard_normal((8, 8))
+        yield X * (norm / np.abs(X).sum(axis=0).max())
+
+
+@pytest.mark.parametrize("norm", np.logspace(-12, 1, 27))
+def test_expm_agrees_with_scipy(norm):
+    bound = 1e-15 if norm <= 0.5 else 1e-13
+    for X in _generators(norm):
+        ref = expm(X)
+        assert np.abs(projection.expm(X) - ref).max() <= bound * np.abs(
+            ref).max()
+
+
+def test_expm_of_zero_is_exactly_the_identity():
+    assert np.array_equal(projection.expm(np.zeros((8, 8))), np.eye(8))
+
+
+def test_expm_of_a_diagonal_matrix_exponentiates_the_diagonal():
+    rng = np.random.default_rng(RNG_SEED)
+    for scale in (1e-8, 1e-3, 0.3, 1.0, 3.0):
+        d = scale * rng.uniform(-1, 1, 8)
+        E = projection.expm(np.diag(d))
+        assert np.array_equal(E, np.diag(np.diag(E)))
+        assert np.diag(E) == pytest.approx(np.exp(d), rel=4e-15, abs=0)
+
+
+@pytest.mark.parametrize("norm", [1e-6, 1e-3, 0.1, 0.5, 1.0])
+def test_expm_of_minus_x_inverts_expm_of_x(norm):
+    for X in _generators(norm):
+        product = projection.expm(X) @ projection.expm(-X)
+        assert np.abs(product - np.eye(8)).max() <= 4e-15
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("entry", [np.inf, np.nan, 1e300])
+def test_expm_of_a_non_finite_or_overflowing_generator_is_not_finite(entry):
+    X = next(_generators(1.0))
+    X[1, 2] = entry
+    assert not np.isfinite(projection.expm(X)).all()
+
+
+def test_expm_of_a_nilpotent_generator_with_a_huge_entry_is_exact():
+    X = np.zeros((8, 8))
+    X[2, 3] = 1e300
+    assert np.array_equal(projection.expm(X), np.eye(8) + X)
+
+
+def test_theta_project_calls_the_module_level_expm(monkeypatch):
+    calls = []
+
+    def counted(X):
+        calls.append(X)
+        return expm(X)
+
+    monkeypatch.setattr(projection, "expm", counted)
+    out = projection.theta_project(next(_seeded_inputs()))
+    assert out.iterations >= 2
+    assert len(calls) == out.iterations
+
+
+def test_scatter_of_a_vector_is_the_scatter_of_its_column():
+    v = np.random.default_rng(RNG_SEED).standard_normal(70)
+    t = projection._scatter(v)
+    assert t.shape == (8 ** 4, 1)
+    assert np.array_equal(t, projection._scatter(v[:, None]))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("scale", [1.0, 1e3, 1e150, 1e300])
+def test_scaled_far_inputs_raise_projection_error(scale):
+    eta = np.random.default_rng(RNG_SEED).standard_normal(70)
+    with pytest.raises(projection.ProjectionError):
+        projection.theta_project(PHI0 + scale * eta)
+
+
+def test_projection_and_newton_probes_import_no_scipy():
+    script = ("import sys\n"
+              "import spin7.projection\n"
+              "assert 'scipy' not in sys.modules\n"
+              "from spin7 import cli\n"
+              "assert cli.main(['verify-forms', '--with-newton']) == 0\n"
+              "assert 'scipy' not in sys.modules\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH")
+                               else []))
+    result = subprocess.run([sys.executable, "-c", script], cwd=ROOT, env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+
+
+def test_taylor_degree_table_meets_the_remainder_bound():
+    def log_bound(m, x):  # log of x^(m+1)/(m+1)! e^x
+        return (m + 1) * np.log(x) - math.lgamma(m + 2) + x
+
+    thetas = projection._THETAS
+    assert thetas == sorted(thetas)
+    assert thetas[-2] < 0.5 <= thetas[-1]
+    for m, theta in enumerate(thetas, start=1):
+        assert log_bound(m, theta) <= -53 * np.log(2) < log_bound(
+            m, theta * (1 + 1e-9))
