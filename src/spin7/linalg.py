@@ -11,8 +11,10 @@ prime and certifies the result in exact integers:
 
 1. a row and its numerators span the same line, so denominators play no
    part in the elimination;
-2. Gauss-Jordan elimination modulo p = 2^31 - 1 takes the rows one at a
-   time into a reduced basis of sparse rows, keyed by pivot column;
+2. Gauss-Jordan elimination modulo p = 2^30 - 35, the largest prime
+   below 2^30, takes the rows one at a time into a reduced basis of
+   sparse rows, keyed by pivot column; every residue is then a single
+   30-bit CPython digit, the fast path of int arithmetic;
 3. each nonzero residue of the reduced rows is lifted to the fraction n/d
    with |n|, d <= sqrt(p/2) that it represents, by Wang's rational
    reconstruction (Wang 1981; Monagan, ISSAC 2004);
@@ -25,12 +27,13 @@ prime and certifies the result in exact integers:
 The rank modulo p is at most the rank over Q, and the identity puts every
 input row in the span of R's rows, so R is *the* reduced row echelon form,
 whatever the prime.  If a lift or the identity fails, the same elimination
-runs again modulo a Mersenne prime of about twice as many bits, and so on
-up to the first one above 2 H^2, H the Hadamard bound of the integer rows.
-Modulo that prime every minor is nonzero exactly when it is nonzero, and
-every entry of the reduced form is a ratio of two minors, so that run cannot
-fail.  The doubling steps stop much earlier on dense rational input, whose
-reduced form needs far fewer bits than the Hadamard bound allows.
+runs again modulo the Mersenne prime 2^61 - 1, then modulo Mersenne primes
+of about twice as many bits each, up to the first one above 2 H^2, H the
+Hadamard bound of the integer rows.  Modulo that prime every minor is
+nonzero exactly when it is nonzero, and every entry of the reduced form is
+a ratio of two minors, so that run cannot fail.  The doubling steps stop
+much earlier on dense rational input, whose reduced form needs far fewer
+bits than the Hadamard bound allows.
 
 ``rref``, ``rank``, ``nullspace`` and ``solve`` are dense adapters over the
 same kernel, on lists of ``int`` or ``Fraction`` entries.  In every dense
@@ -40,6 +43,7 @@ result a nonzero entry is a ``Fraction`` and a zero is the int ``0``.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd, isqrt, lcm, prod
 
 # (column, nonzero numerator) pairs and one positive denominator
@@ -48,9 +52,12 @@ Row = tuple[list[tuple[int, int]], int]
 Matrix = list[list[int | Fraction]]
 Vector = list[int | Fraction]
 
-# exponents e of Mersenne primes 2^e - 1, each about twice the one before
+# the first prime: the largest below 2^30, so a residue is one CPython digit
+_FIRST_PRIME = (1 << 30) - 35
+# exponents e of the Mersenne primes 2^e - 1 tried after it, each about
+# twice the one before
 _MERSENNE_EXPONENTS = (
-    31, 61, 127, 521, 1279, 2203, 4423, 9689, 19937, 44497, 86243, 216091,
+    61, 127, 521, 1279, 2203, 4423, 9689, 19937, 44497, 86243, 216091,
     756839, 1398269, 2976221, 6972593, 13466917, 24036583, 57885161,
     136279841)
 
@@ -137,16 +144,18 @@ def _certified(rows: list[Row], p: int
 
 
 def _reduce(rows: list[Row]):
-    """``_certified`` modulo Mersenne primes of about doubling size, from
-    2^31 - 1 up to the first above 2 H^2, where it cannot fail."""
+    """``_certified`` modulo 2^30 - 35, then modulo Mersenne primes of
+    about doubling size from 2^61 - 1 up to the first above 2 H^2, where
+    it cannot fail."""
     bound = None
-    for e in _MERSENNE_EXPONENTS:
-        result = _certified(rows, (1 << e) - 1)
+    for p in chain((_FIRST_PRIME,),
+                   ((1 << e) - 1 for e in _MERSENNE_EXPONENTS)):
+        result = _certified(rows, p)
         if result is not None:
             return result
         bound = bound or 2 * prod(sum(x * x for _, x in entries)
                                   for entries, _ in rows if entries)
-        if (1 << e) - 1 > bound:
+        if p > bound:
             break
     raise OverflowError(
         "entries too large: no listed Mersenne prime exceeds 2 H^2")

@@ -174,7 +174,10 @@ def _newton_data() -> dict:
                              for j, x in enumerate(A_i) if x])
                  for A in stab.basis]
     complement = linalg.kernel(stab_rows, 64)
-    assert len(complement) == 43
+    if len(complement) != 43:  # 64 - 21
+        raise ArithmeticError(
+            f"the stabilizer of the Cayley form has a complement of "
+            f"dimension {len(complement)} in gl(8), not 43")
     W = np.array([linalg.dense(v, 64) for v in complement],
                  dtype=float).reshape(43, 8, 8)
 

@@ -9,7 +9,15 @@ compatible with it (self-dual) and raise ``AdmissibilityError`` otherwise.
 ``action_matrix`` is the one construction of the infinitesimal gl(n)
 action on forms: the stabilizer, the so(8)-orbit block of the 4-form
 split, ``infinitesimal_action`` and the Newton tangent directions of
-:mod:`spin7.projection` all read it.
+:mod:`spin7.projection` all read it.  ``star_wedge_matrix`` is the one
+construction of a -> *(psi ^ a): the 2-form split and its SU(4)
+refinement read their eigenspaces from it.  Both assemble a form's
+matrix from a cached table of +-1 entries per monomial.
+
+The 4-form split works on half of the 70 coordinates.  Columns are masks
+in increasing order, so the 35 masks without dx_8 are columns 0-34, and
+the Hodge star pairs each of them with one of columns 35-69.  A self-dual
+4-form is fixed by either half of its coordinates.
 """
 
 from __future__ import annotations
@@ -64,6 +72,25 @@ def from_coords(v: Row, n: int, r: int) -> Multivector:
     masks = monomial_masks(n, r)
     entries, d = v
     return Multivector._reduced(n, r, {masks[j]: x for j, x in entries}, d)
+
+
+@lru_cache(maxsize=None)
+def _star_columns(n: int, r: int) -> tuple[tuple[int, bool], ...]:
+    """(column, negated) of the Hodge star *dx_m, a degree-(n - r)
+    monomial up to sign, for each degree-r monomial dx_m."""
+    full = (1 << n) - 1
+    columns = _columns(n, n - r)
+    return tuple((columns[full ^ m], merge_sign(m, full ^ m) < 0)
+                 for m in monomial_masks(n, r))
+
+
+def _self_dual(v: Row) -> Row:
+    """The self-dual 4-form on R^8 that agrees with ``v`` on one half of
+    the columns, ``v`` listing columns of that half only."""
+    entries, d = v
+    star = _star_columns(8, 4)
+    return sorted(entries + [(star[j][0], -x if star[j][1] else x)
+                             for j, x in entries]), d
 
 
 def operator_matrix(op, n: int, r_in: int, r_out: int) -> list[Row]:
@@ -121,6 +148,42 @@ def action_matrix(form: Multivector) -> list[Row]:
     return [(r, form.denominator) for r in rows]
 
 
+@lru_cache(maxsize=None)
+def _monomial_star_wedge(n: int, r: int, mask: int
+                         ) -> tuple[tuple[int, int, bool], ...]:
+    """(row, column, negated) of each entry of the matrix of
+    a -> *(dx_mask ^ a) on r-forms, all +-1: one per degree-r monomial
+    dx_m disjoint from dx_mask, sent to the complement of mask | m.  The
+    sign sorts dx_mask ^ dx_m and then applies the star."""
+    full = (1 << n) - 1
+    rows = _columns(n, n - mask.bit_count() - r)
+    return tuple(
+        (rows[full ^ union], j,
+         merge_sign(mask, m) * merge_sign(union, full ^ union) < 0)
+        for j, m in enumerate(monomial_masks(n, r)) if not mask & m
+        for union in (mask | m,))
+
+
+def star_wedge_matrix(psi: Multivector, r: int) -> list[Row]:
+    """Exact rows of a -> *(psi ^ a) from r-forms to (n - s - r)-forms,
+    s the degree of psi, in monomial bases.
+
+    Row k belongs to the k-th output monomial and column j to the j-th
+    input monomial.  A (row, column) pair determines the monomial of psi
+    that joins them, so, as in ``action_matrix``, every nonzero entry is
+    plus or minus one coefficient of psi.  The rows share psi's
+    denominator and list their columns in no particular order.
+    """
+    n = psi.dimension
+    rows: list[list[tuple[int, int]]] = [
+        [] for _ in monomial_masks(n, n - psi.degree - r)]
+    for mask, c in psi.numerators.items():
+        pair = (c, -c)
+        for row, col, negated in _monomial_star_wedge(n, r, mask):
+            rows[row].append((col, pair[negated]))
+    return [(entries, psi.denominator) for entries in rows]
+
+
 def infinitesimal_action(A: Matrix, form: Multivector) -> Multivector:
     """Derivation action of A in gl(n) on a form, dx_i -> sum_j A[i][j] dx_j:
     the action matrix applied to the n*n entries of A."""
@@ -166,6 +229,10 @@ class TypeSplit:
         projection is sum_V z_V V / (denominator of a), where z solves the
         integer Gram system sum_V (U.V) z_V = U.A; one ``echelon`` call on
         the augmented rows solves it."""
+        if (a.dimension, a.degree) != (self.dimension, self.degree):
+            raise ValueError(
+                f"expected a form with (n, r) = ({self.dimension}, "
+                f"{self.degree}); got ({a.dimension}, {a.degree})")
         basis = [b.numerators for b in self.basis(label)]
         k = len(basis)
 
@@ -176,7 +243,9 @@ class TypeSplit:
                   if (g := dot(u, v))], 1) for u in basis]
         reduced, pivots = linalg.echelon(rows)
         # the Gram matrix of independent vectors is invertible
-        assert pivots == list(range(k))
+        if pivots != list(range(k)):
+            raise ValueError(f"the basis of block {label!r} is not linearly "
+                             "independent")
         acc: dict[int, int] = {}
         for (entries, _), v in zip(reduced, basis):
             j, z = entries[-1]  # the augmented column is the last
@@ -189,11 +258,10 @@ class TypeSplit:
                                     scale * a.denominator)
 
 
-def _eigenspaces(op, n: int, r: int,
+def _eigenspaces(matrix: list[Row], n: int, r: int,
                  eigenvalues: tuple[int, ...]) -> list[list[Multivector]]:
-    """Exact eigenspaces of a linear map Lambda^r -> Lambda^r, one basis
-    per requested eigenvalue."""
-    matrix = operator_matrix(op, n, r, r)
+    """Exact eigenspaces of the rows of a linear map Lambda^r -> Lambda^r,
+    one basis per requested eigenvalue."""
     out = []
     for eigenvalue in eigenvalues:
         shifted = []
@@ -223,7 +291,7 @@ def two_form_split(phi: Multivector) -> TypeSplit:
     """
     if phi.dimension != 8 or phi.degree != 4:
         raise ValueError("expected a 4-form on R^8")
-    e3, em1 = _eigenspaces(lambda a: hodge_star(wedge(phi, a)), 8, 2, (3, -1))
+    e3, em1 = _eigenspaces(star_wedge_matrix(phi, 2), 8, 2, (3, -1))
     if len(e3) != 7 or len(em1) != 21:
         raise AdmissibilityError(
             "form not admissible: the 2-form operator *(Phi ^ .) does not "
@@ -253,8 +321,11 @@ def _anti_self_dual_block() -> tuple[Multivector, ...]:
     """The rank-35 block of every 4-form split: the -1 eigenspace of the
     Euclidean Hodge star on 4-forms, which does not depend on Phi.
     Computed on first use and shared by every split."""
-    (anti,) = _eigenspaces(hodge_star, 8, 4, (-1,))
-    assert len(anti) == 35  # ** = 1 on 4-forms on R^8, trace of * is 0
+    (anti,) = _eigenspaces(operator_matrix(hodge_star, 8, 4, 4), 8, 4, (-1,))
+    if len(anti) != 35:  # ** = 1 on 4-forms on R^8, trace of * is 0
+        raise ArithmeticError(
+            f"the Hodge star on 4-forms on R^8 has a -1 eigenspace of rank "
+            f"{len(anti)}, not 35")
     return tuple(anti)
 
 
@@ -266,7 +337,9 @@ def four_form_split(phi: Multivector) -> TypeSplit:
     the anti-self-dual forms, and the rank-27 block is the orthogonal
     complement of the rest.  Phi must be self-dual for the Euclidean
     metric (true for the standard Cayley form and its rotations); this
-    module does not recompute the metric induced by a general Phi.
+    module does not recompute the metric induced by a general Phi.  The
+    rank-1, 7 and 27 blocks are then self-dual, so each is computed on
+    one half of the columns and extended by the star.
     """
     if phi.dimension != 8 or phi.degree != 4:
         raise ValueError("expected a 4-form on R^8")
@@ -287,18 +360,40 @@ def four_form_split(phi: Multivector) -> TypeSplit:
             if i != j:
                 orbit[min(col, j * 8 + i)].append((k, x if i < j else -x))
     d = action[0][1]  # the rows share one denominator
-    reduced, _ = linalg.echelon([(entries, d) for entries in orbit.values()])
-    block7 = [from_coords(v, 8, 4) for v in reduced]
+    not_admissible = ("form not admissible: so(8).Phi is not self-dual "
+                      "and orthogonal to Phi")
+    # so(8) commutes with *, so the images of a self-dual Phi are
+    # self-dual.  Their reduced rows are then self-dual too and have their
+    # pivots among columns 0-34, so eliminating there and extending by *
+    # gives the reduced rows of all 70 columns
+    star = _star_columns(8, 4)
+    low = []
+    for entries in orbit.values():
+        image = dict(entries)
+        if any(image.get(star[k][0]) != (-x if star[k][1] else x)
+               for k, x in entries):
+            raise AdmissibilityError(not_admissible)
+        low.append(([(k, x) for k, x in entries if k < 35], d))
+    rows7 = [_self_dual(v) for v in linalg.echelon(low)[0]]
+    block7 = [from_coords(v, 8, 4) for v in rows7]
     if len(block7) != 7:
         raise AdmissibilityError(
             f"form not admissible: so(8).Phi has rank {len(block7)}, not 7")
-    for b in block7:
-        if hodge_star(b) != b or inner(b, phi):
-            raise AdmissibilityError(
-                "form not admissible: so(8).Phi is not self-dual and "
-                "orthogonal to Phi")
+    if any(inner(b, phi) for b in block7):
+        raise AdmissibilityError(not_admissible)
 
-    block27 = _complement([phi, *block7, *anti])
+    # the anti-self-dual forms make up the rank-35 block, so the rank-27
+    # block is the self-dual v orthogonal to Phi and the rank-7 block; for
+    # self-dual a, <a, v> is twice sum_m a_m v_m over the columns 35-69.  A
+    # kernel's free columns are its basis of columns picked greedily from
+    # the right, and self-dual forms are fixed by their columns 35-69, so
+    # this 35-column kernel has the free columns, and the basis, of the
+    # 70-column one
+    high = [([(k - 35, x) for k, x in entries if k >= 35], 1)
+            for entries, _ in [to_coords(phi), *rows7]]
+    block27 = [from_coords(_self_dual(([(k + 35, x) for k, x in entries], e)),
+                           8, 4)
+               for entries, e in linalg.kernel(high, 35)]
     if len(block27) != 27:
         raise AdmissibilityError("rank-27 complement has wrong dimension")
     return TypeSplit(8, 4, phi, (
@@ -321,8 +416,8 @@ def su4_two_form_refinement(omega: Multivector,
         raise ValueError("expected the Kaehler 2-form on R^8")
     if re_theta.dimension != 8 or re_theta.degree != 4:
         raise ValueError("expected the real part of the (4,0)-form")
-    plus, minus = _eigenspaces(lambda a: hodge_star(wedge(a, re_theta)),
-                               8, 2, (2, -2))
+    # a ^ Re theta = Re theta ^ a: the degrees are even
+    plus, minus = _eigenspaces(star_wedge_matrix(re_theta, 2), 8, 2, (2, -2))
     if len(plus) != 6 or len(minus) != 6:
         raise AdmissibilityError(
             "eigenvalue structure violated: the +/-2 eigenspaces of "

@@ -2,13 +2,14 @@
 
 import hashlib
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spin7 import splits
+from spin7 import linalg, splits
 from spin7.forms import (Multivector, cayley_form, contract, cylinder_form,
                          g2_phi, hodge_star, inner, su4_forms, volume_form,
                          wedge)
@@ -423,3 +424,151 @@ def test_anti_self_dual_block_is_computed_once():
     # the rank-35 block does not depend on Phi: every split shares it
     assert (splits.four_form_split(PHI).basis("35")
             is splits.four_form_split(ROTATED[0]).basis("35"))
+
+
+# ---------------------------------------------------------------------------
+# oracles: the operator matrix of *(psi ^ .) and the 70-column 4-form path
+# ---------------------------------------------------------------------------
+
+def _star_wedge_by_operator_matrix(psi, r):
+    """The rows of a -> *(psi ^ a) from ``wedge`` and ``hodge_star``
+    images of the monomials."""
+    n = psi.dimension
+    return splits.operator_matrix(lambda a: hodge_star(wedge(psi, a)),
+                                  n, r, n - psi.degree - r)
+
+
+def _dense_rows(rows, ncols):
+    return [linalg.dense(r, ncols) for r in rows]
+
+
+NOT_SELF_DUAL = Multivector.from_terms(
+    8, [((1, 2, 3, 4), Fraction(1)), ((1, 3, 5, 7), Fraction(-2, 3)),
+        ((2, 4, 6, 8), Fraction(5, 7))])
+
+
+@pytest.mark.parametrize("psi", [PHI, *ROTATED, su4_forms()[1],
+                                 NOT_SELF_DUAL],
+                         ids=["cayley", "g1", "g2", "g3", "re_theta",
+                              "not_self_dual"])
+def test_star_wedge_matrix_is_the_operator_matrix(psi):
+    assert (_dense_rows(splits.star_wedge_matrix(psi, 2), 28)
+            == _dense_rows(_star_wedge_by_operator_matrix(psi, 2), 28))
+
+
+@st.composite
+def forms_and_degrees(draw):
+    """A rational form of degree s on R^n, and a degree r <= n - s."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    s = draw(st.integers(min_value=0, max_value=n))
+    r = draw(st.integers(min_value=0, max_value=n - s))
+    masks = splits.monomial_masks(n, s)
+    terms = draw(st.dictionaries(st.sampled_from(masks), rationals,
+                                 max_size=12))
+    return Multivector(n, s, terms), r
+
+
+@settings(max_examples=80, deadline=None)
+@given(forms_and_degrees())
+def test_star_wedge_matrix_is_the_operator_matrix_on_random_forms(case):
+    psi, r = case
+    ncols = len(splits.monomial_masks(psi.dimension, r))
+    assert (_dense_rows(splits.star_wedge_matrix(psi, r), ncols)
+            == _dense_rows(_star_wedge_by_operator_matrix(psi, r), ncols))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.dictionaries(st.sampled_from(splits.monomial_masks(8, 4)),
+                       rationals, min_size=1, max_size=20))
+def test_star_wedge_matrix_of_a_rational_4_form(terms):
+    psi = Multivector(8, 4, terms)
+    assert (_dense_rows(splits.star_wedge_matrix(psi, 2), 28)
+            == _dense_rows(_star_wedge_by_operator_matrix(psi, 2), 28))
+
+
+def _four_form_blocks_on_all_columns(phi):
+    """The rank-7 and rank-27 blocks by 70-column eliminations: the
+    reduced rows of the so(8) images E_ij - E_ji . Phi, and the complement
+    of Phi, those rows and the anti-self-dual block."""
+    images = []
+    for i, j in itertools.combinations(range(8), 2):
+        A = [[Fraction(0)] * 8 for _ in range(8)]
+        A[i][j], A[j][i] = Fraction(1), Fraction(-1)
+        images.append(splits.to_coords(splits.infinitesimal_action(A, phi)))
+    block7 = [splits.from_coords(v, 8, 4)
+              for v in linalg.echelon(images)[0]]
+    anti = splits._anti_self_dual_block()
+    return block7, splits._complement([phi, *block7, *anti])
+
+
+def _seeded_rotated_cayley_form(seed):
+    """g.Phi for a seeded g shaped like the benchmark's: a signed
+    permutation of determinant +1 and two exact plane rotations."""
+    rng = random.Random(seed)
+    perm = list(range(8))
+    rng.shuffle(perm)
+    signs = [rng.choice((1, -1)) for _ in range(8)]
+    inversions = sum(perm[a] > perm[b]
+                     for a, b in itertools.combinations(range(8), 2))
+    if (-1) ** (inversions + signs.count(-1)) < 0:
+        signs[0] = -signs[0]
+    planes = [tuple(rng.sample(range(8), 2)) for _ in range(2)]
+    return _rotated_cayley_form(perm, signs, planes)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_four_form_blocks_equal_the_70_column_eliminations(seed):
+    phi = _seeded_rotated_cayley_form(seed)
+    block7, block27 = _four_form_blocks_on_all_columns(phi)
+    split = splits.four_form_split(phi)
+    assert split.basis("7") == tuple(block7)
+    assert split.basis("27") == tuple(block27)
+    # field by field, so the stored forms are the oracle's too
+    for new, old in zip(split.basis("7") + split.basis("27"),
+                        block7 + block27):
+        assert (new.numerators, new.denominator) == (old.numerators,
+                                                     old.denominator)
+
+
+FLIPPED = Multivector(8, 4, {m: -c if m == min(PHI.terms) else c
+                             for m, c in PHI.terms.items()})
+# self-dual, but not in the orbit of the Cayley form
+SELF_DUAL_NOT_ADMISSIBLE = (PHI + Multivector.monomial(8, [1, 2, 3, 4])
+                            + Multivector.monomial(8, [5, 6, 7, 8]))
+
+
+@pytest.mark.parametrize("split, phi, message", [
+    (splits.two_form_split, FLIPPED,
+     "form not admissible: the 2-form operator *(Phi ^ .) does not have "
+     "eigenspace ranks (7, 21); found (4, 15)"),
+    (splits.four_form_split, FLIPPED,
+     "form not admissible here: Phi must be self-dual for the Euclidean "
+     "metric"),
+    (splits.two_form_split, SELF_DUAL_NOT_ADMISSIBLE,
+     "form not admissible: the 2-form operator *(Phi ^ .) does not have "
+     "eigenspace ranks (7, 21); found (4, 12)"),
+    (splits.four_form_split, SELF_DUAL_NOT_ADMISSIBLE,
+     "form not admissible: so(8).Phi has rank 19, not 7"),
+], ids=["2-form-flipped", "4-form-flipped", "2-form-self-dual",
+        "4-form-self-dual"])
+def test_non_admissible_forms_keep_their_messages(split, phi, message):
+    with pytest.raises(splits.AdmissibilityError) as error:
+        split(phi)
+    assert str(error.value) == message
+
+
+def test_project_rejects_a_form_of_another_dimension_or_degree():
+    split = splits.two_form_split(PHI)
+    # dx_12 on R^7 has the mask of dx_12 on R^8
+    with pytest.raises(ValueError, match=r"\(n, r\) = \(8, 2\); got \(7, 2\)"):
+        split.project("7", Multivector.monomial(7, [1, 2]))
+    with pytest.raises(ValueError, match=r"\(n, r\) = \(8, 2\); got \(8, 4\)"):
+        split.project("7", PHI)
+
+
+def test_project_rejects_a_dependent_basis():
+    split = splits.two_form_split(PHI)
+    b = split.basis("7")[0]
+    doubled = splits.TypeSplit(8, 2, PHI, (("7", (b, 2 * b)),))
+    with pytest.raises(ValueError, match="not linearly independent"):
+        doubled.project("7", b)
