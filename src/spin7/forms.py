@@ -8,7 +8,13 @@ contraction with a basis vector only flip signs and pick terms, and a sum
 scales both forms to the lcm of their denominators.  Each result is
 reduced by one gcd.  ``Fraction`` appears only at the edges: the public
 constructor reads ``Fraction``-convertible coefficients, and ``terms``,
-``coefficient`` and ``items`` return them.
+``coefficient`` and ``items`` return them.  ``from_terms`` keeps int
+coefficients as ints.
+
+Every sign derives from one primitive, ``merge_sign``.  The Hodge star
+reads its signs from a table of merge_signs per mask, built on first
+use for each n, and the contraction with dx_k uses merge_sign's closed
+form for one bit: the parity of the bits of the monomial below k.
 
 The monomial basis dx_I (I a strictly increasing index tuple) is
 orthonormal, and the orientation is fixed by declaring dx_1 ^ ... ^ dx_n
@@ -21,6 +27,7 @@ from __future__ import annotations
 import itertools
 import re
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 from numbers import Rational
 from typing import Iterable, Mapping, Sequence, Union
@@ -50,8 +57,9 @@ def merge_sign(mask_a: int, mask_b: int) -> int:
     """Sign of sorting the concatenation dx_A ^ dx_B into increasing order.
 
     Counts transpositions: for each bit of ``mask_b``, the number of bits of
-    ``mask_a`` strictly above it.  This is the only sign computation of the
-    exterior algebra; every other sign is a product of these.
+    ``mask_a`` strictly above it.  This is the one sign primitive of the
+    exterior algebra; every other sign is a product of these, a table of
+    them or, for a one-bit ``mask_a``, their closed form.
     """
     swaps = 0
     while mask_b:
@@ -155,7 +163,7 @@ class Multivector:
         Index tuples may be unsorted; the sign of sorting is absorbed into
         the coefficient.  All tuples must have equal length.
         """
-        acc: dict[int, Fraction] = {}
+        signed: list[tuple[int, Scalar]] = []  # (mask, signed coefficient)
         degree = None
         for indices, coeff in entries:
             idx = list(indices)
@@ -163,17 +171,29 @@ class Multivector:
                 degree = len(idx)
             elif len(idx) != degree:
                 raise ValueError("mixed degrees")
-            bits = [_mask_of((i,), dimension) for i in idx]  # range check
-            if len(set(bits)) != len(bits):
-                continue  # a repeated index kills the term
-            sign, mask = 1, 0
-            for bit in bits:
-                sign *= merge_sign(mask, bit)
+            for i in idx:  # the range check comes before a repeat
+                if not 0 < i <= dimension:
+                    raise ValueError(f"index {i} out of range 1..{dimension}")
+            mask, sign = 0, 1
+            for i in idx:
+                bit = 1 << (i - 1)
+                if mask & bit:
+                    break  # a repeated index kills the term
+                if mask > bit:  # else no bit of mask lies above bit
+                    sign *= merge_sign(mask, bit)
                 mask |= bit
-            acc[mask] = acc.get(mask, Fraction(0)) + sign * Fraction(coeff)
+            else:
+                c = coeff if type(coeff) is int else Fraction(coeff)
+                signed.append((mask, c if sign > 0 else -c))
         if degree is None:
             raise ValueError("no terms supplied; use Multivector.zero")
-        return cls(dimension, degree, acc)
+        # an int is its own numerator over the denominator 1
+        d = lcm(*[c.denominator for _, c in signed])
+        acc: dict[int, int] = {}
+        for mask, c in signed:
+            acc[mask] = acc.get(mask, 0) + c.numerator * (d // c.denominator)
+        return cls._reduced(dimension, degree,
+                            {m: x for m, x in acc.items() if x}, d)
 
     # -- basic structure ----------------------------------------------
 
@@ -295,35 +315,48 @@ def wedge(a: Multivector, b: Multivector) -> Multivector:
                                 a.denominator * b.denominator)
 
 
+@lru_cache(maxsize=None)
+def _star_negated(n: int) -> tuple[bool, ...]:
+    """Whether *(dx_m) = -dx_{m^c} on R^n, indexed by the mask m: the
+    sign of dx_m ^ dx_{m^c} = +-vol, from ``merge_sign``."""
+    full = (1 << n) - 1
+    return tuple(merge_sign(m, full ^ m) < 0 for m in range(1 << n))
+
+
 def hodge_star(a: Multivector) -> Multivector:
     """Hodge star for the Euclidean metric and standard orientation.
 
     On monomials, *(dx_I) = sign * dx_{I^c} with the sign fixed by
-    dx_I ^ *(dx_I) = vol.
+    dx_I ^ *(dx_I) = vol, read from a table of masks.
     """
     n = a.dimension
     full = (1 << n) - 1
-    acc: dict[int, int] = {}
-    for m, x in a.numerators.items():
-        comp = full ^ m
-        acc[comp] = x if merge_sign(m, comp) > 0 else -x
-    return Multivector._trusted(n, n - a.degree, acc, a.denominator)
+    negated = _star_negated(n)
+    return Multivector._trusted(n, n - a.degree, {
+        full ^ m: -x if negated[m] else x for m, x in a.numerators.items()},
+        a.denominator)
 
 
 def contract(v, a: Multivector) -> Multivector:
     """Interior product v -| a.
 
     ``v`` is a 1-based basis index or a sequence of rational components.
+    The sign of dx_k -| dx_m is merge_sign(dx_k, dx_{m - k}); for a basis
+    index it is read in closed form, as the parity of the bits of m below
+    k.
     """
     if a.degree == 0:
         raise ValueError("cannot contract a 0-form")
     n = a.dimension
     if isinstance(v, int):
+        if not 1 <= v <= n:
+            raise ValueError(f"basis index {v} out of range 1..{n}")
         # each term with dx_v goes to its own monomial, so none cancel;
         # dropping the others can leave a common factor
         bit = 1 << (v - 1)
+        below = bit - 1
         return Multivector._reduced(n, a.degree - 1, {
-            m ^ bit: x if merge_sign(bit, m ^ bit) > 0 else -x
+            m ^ bit: -x if (m & below).bit_count() & 1 else x
             for m, x in a.numerators.items() if m & bit}, a.denominator)
     if len(v) != n:
         raise ValueError("vector length must equal the dimension")

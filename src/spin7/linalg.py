@@ -112,8 +112,8 @@ def _lift(u: int, p: int, bound: int) -> tuple[int, int] | None:
 def _certified(rows: list[Row], p: int
                ) -> tuple[list[int], list[list[tuple[int, int]]], int] | None:
     """The pivot columns, the free part of S = D R for each reduced row R
-    and D, if the elimination modulo p lifts to a certified result;
-    otherwise None."""
+    (its columns in no particular order) and D, if the elimination modulo
+    p lifts to a certified result; otherwise None."""
     basis = _eliminate(rows, p)
     pivots = sorted(basis)
     bound = isqrt((p - 1) // 2)
@@ -124,21 +124,25 @@ def _certified(rows: list[Row], p: int
         return None
     scale = lcm(*[d for _, d in lifted.values()])
     scaled = {u: n * (scale // d) for u, (n, d) in lifted.items()}
-    free = [[(j, scaled[u]) for j, u in sorted(basis[col].items()) if u]
+    free = [[(j, scaled[u]) for j, u in basis[col].items() if u]
             for col in pivots]
     # the certificate D a == sum_k a[pivot_k] S_k at the free columns
-    position = {col: k for k, col in enumerate(pivots)}
+    by_pivot = dict(zip(pivots, free))
     for entries, _ in rows:
         combination: dict[int, int] = {}
         expected = {}
         for col, x in entries:
-            k = position.get(col)
-            if k is None:
+            pairs = by_pivot.get(col)
+            if pairs is None:
                 expected[col] = scale * x
             else:
-                for j, s in free[k]:
+                for j, s in pairs:
                     combination[j] = combination.get(j, 0) + x * s
-        if {j: v for j, v in combination.items() if v} != expected:
+        # expected holds no zero, so each entry must be met exactly once
+        for j, v in combination.items():
+            if v != expected.pop(j, 0):
+                return None
+        if expected:
             return None
     return pivots, free, scale
 
@@ -165,7 +169,7 @@ def echelon(rows: list[Row]) -> tuple[list[Row], list[int]]:
     """The nonzero rows of the reduced row echelon form and their pivot
     columns (exact)."""
     pivots, free, scale = _reduce(rows)
-    return ([([(col, scale), *pairs], scale)
+    return ([([(col, scale), *sorted(pairs)], scale)
              for col, pairs in zip(pivots, free)], pivots)
 
 

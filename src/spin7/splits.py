@@ -6,13 +6,21 @@ over the rationals.  The ambient metric is the standard Euclidean one;
 operations that need the Hodge star check that the supplied 4-form is
 compatible with it (self-dual) and raise ``AdmissibilityError`` otherwise.
 
-``action_matrix`` is the one construction of the infinitesimal gl(n)
-action on forms: the stabilizer, the so(8)-orbit block of the 4-form
-split, ``infinitesimal_action`` and the Newton tangent directions of
-:mod:`spin7.projection` all read it.  ``star_wedge_matrix`` is the one
-construction of a -> *(psi ^ a): the 2-form split and its SU(4)
-refinement read their eigenspaces from it.  Both assemble a form's
-matrix from a cached table of +-1 entries per monomial.
+The constructions read cached tables of +-1 entries per monomial,
+keyed by (n, mask) and independent of any input form, so every entry of
+a matrix is plus or minus a coefficient of the form:
+
+- ``_monomial_action`` gives ``action_matrix``, the one construction of
+  the infinitesimal gl(n) action on forms: the stabilizer,
+  ``infinitesimal_action`` and the Newton tangent directions of
+  :mod:`spin7.projection` read it.
+- ``_monomial_rotation`` is that table regrouped by the generators
+  E_ij - E_ji of so(n); the 4-form split reads the so(8)-orbit images
+  from it.
+- ``_monomial_star_wedge`` gives ``star_wedge_matrix``, the one
+  construction of a -> *(psi ^ a): the 2-form split and its SU(4)
+  refinement read their eigenspaces from it, and the cylinder types
+  their hats *( *phi ^ . ).
 
 The 4-form split works on half of the 70 coordinates.  Columns are masks
 in increasing order, so the 35 masks without dx_8 are columns 0-34, and
@@ -126,6 +134,25 @@ def _monomial_action(n: int, mask: int) -> tuple[tuple[int, int, bool], ...]:
         for i in range(n) if mask >> i & 1
         for rest in (mask ^ 1 << i,)
         for j in range(n) if not rest >> j & 1)
+
+
+@lru_cache(maxsize=None)
+def _monomial_rotation(n: int, mask: int
+                       ) -> tuple[tuple[int, int, bool], ...]:
+    """(generator, row, negated) of each entry of the images of dx_mask
+    under the generators E_ij - E_ji of so(n), i < j, numbered in
+    ``itertools.combinations`` order: the entries of ``_monomial_action``
+    in the columns E_ij and E_ji, the latter negated.  E_ij only reaches
+    monomials with dx_j and without dx_i, E_ji the others, so no two
+    entries of one generator share a row."""
+    generator = {}
+    for g, (i, j) in enumerate(itertools.combinations(range(n), 2)):
+        generator[i * n + j] = g, False
+        generator[j * n + i] = g, True
+    return tuple((g, row, negated != flip)
+                 for row, col, negated in _monomial_action(n, mask)
+                 if col in generator
+                 for g, flip in (generator[col],))
 
 
 def action_matrix(form: Multivector) -> list[Row]:
@@ -299,13 +326,25 @@ def two_form_split(phi: Multivector) -> TypeSplit:
     return TypeSplit(8, 2, phi, (("7", tuple(e3)), ("21", tuple(em1))))
 
 
+def _require_self_dual(phi: Multivector) -> None:
+    """The premise of the 3- and 4-form splits: this module does not
+    recompute the metric induced by a general Phi, so Phi must be
+    self-dual for the Euclidean one."""
+    if hodge_star(phi) != phi:
+        raise AdmissibilityError(
+            "form not admissible here: Phi must be self-dual for the "
+            "Euclidean metric")
+
+
 def three_form_split(phi: Multivector) -> TypeSplit:
     """Split 3-forms on R^8 into {v -| Phi} and its orthogonal complement.
 
-    Ranks (8, 48).
+    Ranks (8, 48).  Phi must be self-dual for the Euclidean metric: the
+    rank of the contractions alone does not tell an admissible Phi.
     """
     if phi.dimension != 8 or phi.degree != 4:
         raise ValueError("expected a 4-form on R^8")
+    _require_self_dual(phi)
     contractions = [contract(i, phi) for i in range(1, 9)]
     complement = _complement(contractions)
     if len(complement) != 48:  # the contractions span 56 - 48 = 8 dimensions
@@ -336,51 +375,34 @@ def four_form_split(phi: Multivector) -> TypeSplit:
     space so(8).Phi of the rotation orbit, the rank-35 block consists of
     the anti-self-dual forms, and the rank-27 block is the orthogonal
     complement of the rest.  Phi must be self-dual for the Euclidean
-    metric (true for the standard Cayley form and its rotations); this
-    module does not recompute the metric induced by a general Phi.  The
+    metric (true for the standard Cayley form and its rotations).  The
     rank-1, 7 and 27 blocks are then self-dual, so each is computed on
     one half of the columns and extended by the star.
     """
     if phi.dimension != 8 or phi.degree != 4:
         raise ValueError("expected a 4-form on R^8")
-    if hodge_star(phi) != phi:
-        raise AdmissibilityError(
-            "form not admissible here: Phi must be self-dual for the "
-            "Euclidean metric")
+    _require_self_dual(phi)
     anti = _anti_self_dual_block()
 
-    # the images of the generators E_ij - E_ji of so(8), i < j: the action
-    # matrix's columns, read off its rows.  E_ij only reaches monomials
-    # with dx_j and without dx_i, E_ji the others, so no two entries meet
-    action = action_matrix(phi)
-    orbit = {i * 8 + j: [] for i, j in itertools.combinations(range(8), 2)}
-    for k, (entries, _) in enumerate(action):
-        for col, x in entries:
-            i, j = divmod(col, 8)
-            if i != j:
-                orbit[min(col, j * 8 + i)].append((k, x if i < j else -x))
-    d = action[0][1]  # the rows share one denominator
-    not_admissible = ("form not admissible: so(8).Phi is not self-dual "
-                      "and orthogonal to Phi")
-    # so(8) commutes with *, so the images of a self-dual Phi are
-    # self-dual.  Their reduced rows are then self-dual too and have their
-    # pivots among columns 0-34, so eliminating there and extending by *
-    # gives the reduced rows of all 70 columns
-    star = _star_columns(8, 4)
-    low = []
-    for entries in orbit.values():
-        image = dict(entries)
-        if any(image.get(star[k][0]) != (-x if star[k][1] else x)
-               for k, x in entries):
-            raise AdmissibilityError(not_admissible)
-        low.append(([(k, x) for k, x in entries if k < 35], d))
+    # so(8) commutes with *, so the images of the self-dual Phi under the
+    # generators E_ij - E_ji are self-dual, and so are their reduced rows,
+    # which then have their pivots among columns 0-34: eliminating there
+    # and extending by * gives the reduced rows of all 70 columns
+    low: list[Row] = [([], phi.denominator) for _ in range(28)]
+    for mask, c in phi.numerators.items():
+        pair = (c, -c)
+        for generator, row, negated in _monomial_rotation(8, mask):
+            if row < 35:
+                low[generator][0].append((row, pair[negated]))
     rows7 = [_self_dual(v) for v in linalg.echelon(low)[0]]
     block7 = [from_coords(v, 8, 4) for v in rows7]
     if len(block7) != 7:
         raise AdmissibilityError(
             f"form not admissible: so(8).Phi has rank {len(block7)}, not 7")
     if any(inner(b, phi) for b in block7):
-        raise AdmissibilityError(not_admissible)
+        raise AdmissibilityError(
+            "form not admissible: so(8).Phi is not self-dual and orthogonal "
+            "to Phi")
 
     # the anti-self-dual forms make up the rank-35 block, so the rank-27
     # block is the self-dual v orthogonal to Phi and the rank-7 block; for
@@ -450,10 +472,13 @@ class StabilizerResult:
 def stabilizer_dimension(form: Multivector) -> StabilizerResult:
     """Exact kernel of A -> (derivation action of A on the form)."""
     n = form.dimension
-    kernel = [linalg.dense(v, n * n)
-              for v in linalg.kernel(action_matrix(form), n * n)]
-    return StabilizerResult(form, len(kernel), tuple(
-        [v[i * n:(i + 1) * n] for i in range(n)] for v in kernel))
+    basis = []
+    for entries, d in linalg.kernel(action_matrix(form), n * n):
+        A: Matrix = [[0] * n for _ in range(n)]
+        for col, x in entries:
+            A[col // n][col % n] = Fraction(x, d)
+        basis.append(A)
+    return StabilizerResult(form, len(basis), tuple(basis))
 
 
 # ---------------------------------------------------------------------------
@@ -469,17 +494,40 @@ class CylinderTypes:
     iso_scale: Fraction  # v -| phi  ->  *( *phi ^ (v -| phi) ) = scale * v-flat
 
 
-def _lift_one_form(beta7: Multivector) -> Multivector:
-    """dt ^ beta for a 1-form beta on R^7 (t is x_1 of R^8)."""
-    return Multivector._trusted(
-        8, 2, {(m << 1) | 1: x for m, x in beta7.numerators.items()},
-        beta7.denominator)
+def _cylinder_rows(phi: Multivector
+                   ) -> tuple[list[Row], list[Row], list[Row]]:
+    """The rank-7 and rank-21 parameterizations of the cylinder 2-form
+    split for the 3-form phi on R^7, as rows of 2-forms on R^8, and the
+    hats *( *phi ^ (v -| phi) ), as rows of 1-forms on R^7, one for each
+    basis vector v.
 
-
-def _lift_two_form(gamma7: Multivector) -> Multivector:
-    return Multivector._trusted(
-        8, 2, {m << 1: x for m, x in gamma7.numerators.items()},
-        gamma7.denominator)
+    The hats *( *phi ^ . ) are the rows of ``star_wedge_matrix``.  dt is
+    x_1, so the 1-form dx_k on R^7 lifts to dx_1 ^ dx_{k+1}, mask
+    (2 << k) | 1, and the 2-form of mask m to the mask m << 1.
+    """
+    columns = _columns(8, 2)
+    one = [columns[(2 << k) | 1] for k in range(7)]
+    two = [columns[m << 1] for m in monomial_masks(7, 2)]
+    # hat[k][j]: the coefficient of dx_{k+1} in the hat of 2-form j
+    hat = [dict(entries)
+           for entries, _ in star_wedge_matrix(hodge_star(phi), 2)]
+    d = phi.denominator
+    twentyone: list[Row] = [([], d) for _ in two]
+    for k, entries in enumerate(hat):
+        for j, x in entries.items():
+            twentyone[j][0].append((one[k], x))
+    for j, column in enumerate(two):
+        twentyone[j][0].append((column, -d))
+    seven: list[Row] = []
+    hats: list[Row] = []
+    for i in range(1, 8):
+        entries, e = to_coords(contract(i, phi))
+        dual = [(k, y) for k, row in enumerate(hat)
+                if (y := sum(x * row.get(j, 0) for j, x in entries))]
+        hats.append((dual, d * e))
+        seven.append(([(one[k], y) for k, y in dual]
+                      + [(two[j], 3 * d * x) for j, x in entries], d * e))
+    return seven, twentyone, hats
 
 
 def cylinder_two_form_types(split: TypeSplit) -> CylinderTypes:
@@ -497,42 +545,31 @@ def cylinder_two_form_types(split: TypeSplit) -> CylinderTypes:
     if cylinder_form(phi) != split.phi:
         raise AdmissibilityError(
             "the 4-form is not the cylinder form of its dt factor")
-    star_phi = hodge_star(phi)
+    seven, twentyone, hats = _cylinder_rows(phi)
 
-    def hat(alpha7: Multivector) -> Multivector:
-        return hodge_star(wedge(star_phi, alpha7))  # 1-form on R^7
-
-    contractions = [contract(i, phi) for i in range(1, 8)]
-    duals = [hat(v) for v in contractions]
-    seven = [_lift_one_form(h) + 3 * _lift_two_form(v)
-             for v, h in zip(contractions, duals)]
-    alphas = [Multivector._trusted(7, 2, {m: 1})
-              for m in monomial_masks(7, 2)]
-    twentyone = [_lift_one_form(hat(a)) - _lift_two_form(a) for a in alphas]
-
-    def rank(forms) -> int:
-        return len(linalg.echelon([to_coords(f) for f in forms])[1])
+    def rank(rows: list[Row]) -> int:
+        return len(linalg.echelon(rows)[1])
 
     # the eigenspace bases are independent, so the parameterization stays
     # inside a block exactly when stacking it on the basis keeps the rank
-    if rank([*split.basis("7"), *seven]) != 7:
+    if rank([*map(to_coords, split.basis("7")), *seven]) != 7:
         raise AdmissibilityError(
             "rank-7 parameterization leaves the eigenspace split")
     if rank(seven) != 7:
         raise AdmissibilityError("rank-7 parameterization is degenerate")
-    if rank([*split.basis("21"), *twentyone]) != 21:
+    if rank([*map(to_coords, split.basis("21")), *twentyone]) != 21:
         raise AdmissibilityError(
             "rank-21 parameterization leaves the eigenspace split")
-
     # the 1-form *( *phi ^ (v -| phi) ) must equal scale * v-flat
-    scales = [h.coefficient((i,)) for i, h in enumerate(duals, 1)]
-    if any(h != c * Multivector.monomial(7, (i,))
-           for i, (h, c) in enumerate(zip(duals, scales), 1)):
+    if any(k != i for i, (entries, _) in enumerate(hats) for k, _ in entries):
         raise AdmissibilityError(
             "contraction map is not a multiple of the metric dual")
+    scales = [Fraction(dict(entries).get(i, 0), d)
+              for i, (entries, d) in enumerate(hats)]
     if len(set(scales)) != 1:
         raise AdmissibilityError(
             "contraction map scale differs between directions")
     return CylinderTypes(split=TypeSplit(8, 2, split.phi, (
-        ("7", tuple(seven)), ("21", tuple(split.basis("21"))))),
+        ("7", tuple(from_coords(v, 8, 2) for v in seven)),
+        ("21", tuple(split.basis("21"))))),
         iso_scale=scales[0])

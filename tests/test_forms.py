@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spin7 import forms as forms_module
 from spin7 import splits
 from spin7.forms import (Multivector, cayley_form, contract, cylinder_form,
                          format_form, g2_phi, g2_split, hodge_star, inner,
-                         parse_form, su4_forms, volume_form, wedge)
+                         merge_sign, parse_form, su4_forms, volume_form,
+                         wedge)
 
 
 def random_form(draw, dimension, degree):
@@ -108,6 +110,126 @@ def test_from_terms_rejects_out_of_range_index_even_if_repeated(indices):
     # the range check comes before a repeated index kills the term
     with pytest.raises(ValueError, match="out of range"):
         Multivector.from_terms(4, [(indices, 1)])
+
+
+# ---------------------------------------------------------------------------
+# oracles: the int accumulation of from_terms and the table-read signs
+# ---------------------------------------------------------------------------
+
+def _from_terms_by_fractions(n, entries):
+    """``from_terms`` as a Fraction sum per mask, through the public
+    constructor, with the sign of sorting as a product of merge_signs."""
+    acc, degree = {}, None
+    for indices, coeff in entries:
+        degree = len(indices)
+        for i in indices:
+            if not 1 <= i <= n:
+                raise ValueError(f"index {i} out of range 1..{n}")
+        if len(set(indices)) != len(indices):
+            continue
+        sign, mask = 1, 0
+        for i in indices:
+            sign *= merge_sign(mask, 1 << (i - 1))
+            mask |= 1 << (i - 1)
+        acc[mask] = acc.get(mask, Fraction(0)) + sign * Fraction(coeff)
+    return Multivector(n, degree, acc)
+
+
+@st.composite
+def term_lists(draw):
+    """(n, entries): index tuples of one length, unsorted and possibly
+    repeated, with int, Fraction or mixed coefficients."""
+    n = draw(st.integers(min_value=1, max_value=9))
+    r = draw(st.integers(min_value=1, max_value=n))
+    coefficient = draw(st.sampled_from([
+        st.integers(min_value=-6, max_value=6),
+        st.fractions(min_value=-5, max_value=5, max_denominator=6),
+        st.one_of(st.integers(min_value=-6, max_value=6),
+                  st.fractions(min_value=-5, max_value=5,
+                               max_denominator=6))]))
+    entries = draw(st.lists(st.tuples(
+        st.lists(st.integers(min_value=1, max_value=n), min_size=r,
+                 max_size=r), coefficient), min_size=1, max_size=10))
+    return n, entries
+
+
+@settings(max_examples=120, deadline=None)
+@given(term_lists())
+def test_from_terms_accumulates_the_fraction_sum(case):
+    n, entries = case
+    built = Multivector.from_terms(n, entries)
+    oracle = _from_terms_by_fractions(n, entries)
+    assert built == oracle
+    assert (built.numerators, built.denominator) == (oracle.numerators,
+                                                     oracle.denominator)
+    assert _in_lowest_terms(built)
+
+
+def test_named_forms_equal_their_fraction_construction():
+    omega, re_theta, im_theta = su4_forms()
+    for form, terms in [(cayley_form(), forms_module._CAYLEY_TERMS),
+                        (omega, [((1, 2), 1), ((3, 4), 1), ((5, 6), 1),
+                                 ((7, 8), 1)])]:
+        assert form == _from_terms_by_fractions(8, terms)
+        assert form.denominator == 1
+    # (dx1 + i dx2)(dx3 + i dx4)(dx5 + i dx6)(dx7 + i dx8), term by term
+    re_terms, im_terms = [], []
+    for picks in range(16):
+        indices = [2 * j + 1 + (picks >> j & 1) for j in range(4)]
+        k = bin(picks).count("1")
+        (re_terms if k % 2 == 0 else im_terms).append(
+            (indices, (-1) ** (k // 2)))
+    assert re_theta == _from_terms_by_fractions(8, re_terms)
+    assert im_theta == _from_terms_by_fractions(8, im_terms)
+
+
+def test_star_sign_table_is_merge_sign():
+    for n in range(1, 10):
+        full = (1 << n) - 1
+        assert forms_module._star_negated(n) == tuple(
+            merge_sign(m, full ^ m) < 0 for m in range(1 << n))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(min_value=1, max_value=9).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(min_value=0, max_value=n))
+).flatmap(lambda nr: st.tuples(
+    st.just(nr), st.dictionaries(
+        st.sampled_from(splits.monomial_masks(*nr)),
+        st.fractions(min_value=-5, max_value=5, max_denominator=6),
+        max_size=12))))
+def test_star_and_contraction_signs_are_merge_signs(case):
+    (n, r), terms = case
+    a = Multivector(n, r, terms)
+    full = (1 << n) - 1
+    assert hodge_star(a) == Multivector(n, n - r, {
+        full ^ m: merge_sign(m, full ^ m) * c for m, c in a.terms.items()})
+    if r:
+        for k in range(1, n + 1):
+            bit = 1 << (k - 1)
+            assert contract(k, a) == Multivector(n, r - 1, {
+                m ^ bit: merge_sign(bit, m ^ bit) * c
+                for m, c in a.terms.items() if m & bit})
+
+
+def test_contraction_signs_on_every_monomial_of_r8():
+    for m in range(1, 1 << 8):
+        a = Multivector(8, m.bit_count(), {m: 1})
+        for k in range(1, 9):
+            bit = 1 << (k - 1)
+            expected = (Multivector(8, a.degree - 1, {
+                m ^ bit: merge_sign(bit, m ^ bit)}) if m & bit
+                else Multivector.zero(8, a.degree - 1))
+            assert contract(k, a) == expected
+            vector = [int(j == k) for j in range(1, 9)]
+            assert contract(vector, a) == expected
+
+
+@pytest.mark.parametrize("index", [0, 9, -1, -8])
+def test_contract_rejects_a_basis_index_out_of_range(index):
+    with pytest.raises(ValueError, match=r"basis index -?\d+ out of range "
+                                         r"1\.\.8"):
+        contract(index, cayley_form())
 
 
 def test_wedge_above_top_degree_is_zero():

@@ -36,14 +36,16 @@ def test_library_states_its_claims_with_named_errors():
 
 
 def test_import_builds_no_table():
-    # the cached tables of the splits are built on first use, so importing
-    # the exact layers costs no set-up time
-    script = ("import spin7.cli, spin7.splits, spin7.linalg\n"
+    # the cached tables of the forms and the splits are built on first
+    # use, so importing the exact layers costs no set-up time
+    script = ("import spin7.cli, spin7.forms, spin7.splits, spin7.linalg\n"
               "caches = {name: f.cache_info().currsize\n"
-              "          for module in (spin7.splits, spin7.linalg)\n"
+              "          for module in (spin7.forms, spin7.splits,\n"
+              "                         spin7.linalg)\n"
               "          for name, f in vars(module).items()\n"
               "          if hasattr(f, 'cache_info')}\n"
-              "assert {'_star_columns', '_monomial_star_wedge'} \\\n"
+              "assert {'_star_negated', '_star_columns', '_monomial_action',\n"
+              "        '_monomial_rotation', '_monomial_star_wedge'} \\\n"
               "    <= set(caches)\n"
               "assert not any(caches.values()), caches\n")
     env = dict(os.environ)

@@ -154,12 +154,18 @@ def _rotated_cayley_form(perm, signs, planes):
         r[i][j], r[j][i] = sin, -sin
         g = [[sum(r[a][k] * g[k][b] for k in range(8)) for b in range(8)]
              for a in range(8)]
-    images = [Multivector(8, 1, {1 << j: g[i][j] for j in range(8)})
-              for i in range(8)]
-    out = Multivector.zero(8, 4)
-    for mask, coeff in PHI.terms.items():
-        term = Multivector(8, 0, {0: coeff})
-        for i in range(8):
+    return _act(g, PHI)
+
+
+def _act(g, form):
+    """g.form: the substitution dx_i -> sum_j g[i][j] dx_j."""
+    n = form.dimension
+    images = [Multivector(n, 1, {1 << j: g[i][j] for j in range(n)})
+              for i in range(n)]
+    out = Multivector.zero(n, form.degree)
+    for mask, coeff in form.terms.items():
+        term = Multivector(n, 0, {0: coeff})
+        for i in range(n):
             if mask >> i & 1:
                 term = wedge(term, images[i])
         out = out + term
@@ -537,20 +543,23 @@ SELF_DUAL_NOT_ADMISSIBLE = (PHI + Multivector.monomial(8, [1, 2, 3, 4])
                             + Multivector.monomial(8, [5, 6, 7, 8]))
 
 
+NOT_SELF_DUAL_MESSAGE = ("form not admissible here: Phi must be self-dual "
+                         "for the Euclidean metric")
+
+
 @pytest.mark.parametrize("split, phi, message", [
     (splits.two_form_split, FLIPPED,
      "form not admissible: the 2-form operator *(Phi ^ .) does not have "
      "eigenspace ranks (7, 21); found (4, 15)"),
-    (splits.four_form_split, FLIPPED,
-     "form not admissible here: Phi must be self-dual for the Euclidean "
-     "metric"),
+    (splits.three_form_split, FLIPPED, NOT_SELF_DUAL_MESSAGE),
+    (splits.four_form_split, FLIPPED, NOT_SELF_DUAL_MESSAGE),
     (splits.two_form_split, SELF_DUAL_NOT_ADMISSIBLE,
      "form not admissible: the 2-form operator *(Phi ^ .) does not have "
      "eigenspace ranks (7, 21); found (4, 12)"),
     (splits.four_form_split, SELF_DUAL_NOT_ADMISSIBLE,
      "form not admissible: so(8).Phi has rank 19, not 7"),
-], ids=["2-form-flipped", "4-form-flipped", "2-form-self-dual",
-        "4-form-self-dual"])
+], ids=["2-form-flipped", "3-form-flipped", "4-form-flipped",
+        "2-form-self-dual", "4-form-self-dual"])
 def test_non_admissible_forms_keep_their_messages(split, phi, message):
     with pytest.raises(splits.AdmissibilityError) as error:
         split(phi)
@@ -572,3 +581,147 @@ def test_project_rejects_a_dependent_basis():
     doubled = splits.TypeSplit(8, 2, PHI, (("7", (b, 2 * b)),))
     with pytest.raises(ValueError, match="not linearly independent"):
         doubled.project("7", b)
+
+
+# a rational g that is not orthogonal: det g = 2/3
+NON_ORTHOGONAL = [[Fraction(int(i == j)) for j in range(8)] for i in range(8)]
+NON_ORTHOGONAL[0][0] = Fraction(2, 3)
+NON_ORTHOGONAL[0][1] = Fraction(1, 2)
+NON_ORTHOGONAL[3][5] = Fraction(-3, 4)
+
+
+@pytest.mark.parametrize("split", [splits.three_form_split,
+                                   splits.four_form_split])
+def test_non_euclidean_cayley_forms_are_rejected_by_the_self_dual_premise(
+        split):
+    # g.Phi is admissible for its own metric, not for the Euclidean one
+    # that the star of this module uses
+    phi = _act(NON_ORTHOGONAL, PHI)
+    assert hodge_star(phi) != phi
+    with pytest.raises(splits.AdmissibilityError) as error:
+        split(phi)
+    assert str(error.value) == NOT_SELF_DUAL_MESSAGE
+
+
+# the split-signature form: the Cayley terms with exactly two indices in
+# {5, ..., 8} negated; self-dual, and not admissible
+SPLIT_SIGNATURE = Multivector(8, 4, {
+    m: -c if (m >> 4).bit_count() == 2 else c for m, c in PHI.terms.items()})
+
+
+@pytest.mark.parametrize("phi", [SELF_DUAL_NOT_ADMISSIBLE, SPLIT_SIGNATURE],
+                         ids=["plus-dx1234-dx5678", "split-signature"])
+def test_three_form_split_keeps_self_dual_non_admissible_forms(phi):
+    # the premise is self-duality; telling these forms from an admissible
+    # one needs the metric that Phi induces, which is not computed here
+    assert hodge_star(phi) == phi
+    assert splits.three_form_split(phi).ranks == (8, 48)
+
+
+# ---------------------------------------------------------------------------
+# oracles: the so(n) table, and the cylinder rows
+# ---------------------------------------------------------------------------
+
+def _rotation_images_by_action_matrix(form):
+    """The images of form under E_ij - E_ji, i < j, as dicts of row ->
+    exact entry: the columns E_ij minus the columns E_ji of the action
+    matrix."""
+    n = form.dimension
+    images = {i * n + j: {} for i, j in itertools.combinations(range(n), 2)}
+    for k, (entries, d) in enumerate(splits.action_matrix(form)):
+        for col, x in entries:
+            i, j = divmod(col, n)
+            if i != j:
+                image = images[min(col, j * n + i)]
+                image[k] = image.get(k, 0) + Fraction(x if i < j else -x, d)
+    return [{k: x for k, x in image.items() if x}
+            for image in images.values()]
+
+
+def _rotation_images_by_table(form):
+    n = form.dimension
+    images = [{} for _ in itertools.combinations(range(n), 2)]
+    for mask, c in form.terms.items():
+        for generator, row, negated in splits._monomial_rotation(n, mask):
+            image = images[generator]
+            assert row not in image  # no two entries meet
+            image[row] = -c if negated else c
+    return images
+
+
+@settings(max_examples=80, deadline=None)
+@given(forms_and_degrees())
+def test_rotation_table_is_the_regrouped_action_matrix(case):
+    form, _ = case
+    assert (_rotation_images_by_table(form)
+            == _rotation_images_by_action_matrix(form))
+
+
+@pytest.mark.parametrize("form", [PHI, *ROTATED, FLIPPED],
+                         ids=["cayley", "g1", "g2", "g3", "flipped"])
+def test_rotation_table_on_the_split_inputs(form):
+    assert (_rotation_images_by_table(form)
+            == _rotation_images_by_action_matrix(form))
+
+
+def test_rotations_commute_with_the_star_on_every_4_form_monomial():
+    # the premise of four_form_split: the images of a self-dual Phi are
+    # self-dual, which holds once the star of every monomial's image is
+    # the image of its star.  Checked on all 70 monomials, so by
+    # linearity on every 4-form
+    star = splits._star_columns(8, 4)
+    masks = splits.monomial_masks(8, 4)
+    for k, mask in enumerate(masks):
+        column, negated = star[k]
+        starred_mask = masks[column]
+        images = _rotation_images_by_table(Multivector(8, 4, {mask: 1}))
+        of_star = _rotation_images_by_table(
+            Multivector(8, 4, {starred_mask: -1 if negated else 1}))
+        for image, expected in zip(images, of_star):
+            assert {star[row][0]: -x if star[row][1] else x
+                    for row, x in image.items()} == expected
+
+
+def _cylinder_forms_by_wedge_and_star(phi):
+    """The parameterizations of cylinder_two_form_types built from
+    ``wedge``, ``hodge_star`` and ``contract``: the rank-7 forms, the
+    rank-21 forms and the hats of the contractions."""
+    star_phi = hodge_star(phi)
+
+    def hat(alpha):
+        return hodge_star(wedge(star_phi, alpha))
+
+    def lift_one(beta):
+        return Multivector(8, 2, {(m << 1) | 1: c
+                                  for m, c in beta.terms.items()})
+
+    def lift_two(gamma):
+        return Multivector(8, 2, {m << 1: c for m, c in gamma.terms.items()})
+
+    contractions = [contract(i, phi) for i in range(1, 8)]
+    hats = [hat(v) for v in contractions]
+    seven = [lift_one(h) + 3 * lift_two(v)
+             for v, h in zip(contractions, hats)]
+    twentyone = [lift_one(hat(a)) - lift_two(a)
+                 for a in (Multivector(7, 2, {m: 1})
+                           for m in splits.monomial_masks(7, 2))]
+    return seven, twentyone, hats
+
+
+def _assert_cylinder_rows_match(phi):
+    seven, twentyone, hats = splits._cylinder_rows(phi)
+    oracle = _cylinder_forms_by_wedge_and_star(phi)
+    assert ([splits.from_coords(v, 8, 2) for v in seven],
+            [splits.from_coords(v, 8, 2) for v in twentyone],
+            [splits.from_coords(v, 7, 1) for v in hats]) == oracle
+
+
+def test_cylinder_rows_of_the_g2_form():
+    _assert_cylinder_rows_match(g2_phi())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(st.sampled_from(splits.monomial_masks(7, 3)),
+                       rationals, max_size=12))
+def test_cylinder_rows_are_the_wedge_and_star_parameterization(terms):
+    _assert_cylinder_rows_match(Multivector(7, 3, terms))
