@@ -515,6 +515,8 @@ def parse_form(text: str, dimension: int,
                degree: int | None = None) -> Multivector:
     """Parse a form literal such as ``+1 dx[1,2,3,4] -2/3 dx[5,6,7,8]``."""
     stripped = text.strip()
+    if not stripped:
+        raise ValueError("bad form literal: it is blank")
     if stripped == "0":
         if degree is None:
             raise ValueError("degree required to parse the zero form")
@@ -538,5 +540,4 @@ def parse_form(text: str, dimension: int,
         mask = _mask_of(indices, dimension)
         acc[mask] = acc.get(mask, Fraction(0)) + coeff
         pos = m.end()
-    assert seen_degree is not None
     return Multivector(dimension, seen_degree, acc)

@@ -33,7 +33,7 @@ TOLERANCE = 1e-12
 MAX_ITERATIONS = 50
 
 _MASKS = splits.monomial_masks(8, 4)
-_MASK_INDEX = {m: i for i, m in enumerate(_MASKS)}
+_MASK_INDEX = splits._columns(8, 4)
 _QUADS = [tuple(i for i in range(8) if m & (1 << i)) for m in _MASKS]
 
 # Flat positions in the antisymmetric 8^4 tensor: entry (I permuted by
@@ -91,6 +91,8 @@ def form_to_array(a: Multivector) -> np.ndarray:
 
 def array_to_form(v: np.ndarray) -> Multivector:
     """Inverse of :func:`form_to_array` (coefficients become exact floats)."""
+    if np.shape(v) != (70,):
+        raise ValueError("expected a length-70 vector")
     terms = {m: Fraction(float(c)) for m, c in zip(_MASKS, v) if c}
     return Multivector(8, 4, terms)
 
@@ -168,12 +170,9 @@ def _push(t: np.ndarray, g: np.ndarray) -> np.ndarray:
 def _newton_data() -> dict:
     """Precomputed exact data around the Cayley form, as float arrays."""
     phi0 = cayley_form()
-    stab = splits.stabilizer_dimension(phi0)
     # 43-dimensional Frobenius-orthogonal complement of the stabilizer
-    stab_rows = [linalg.row([(8 * i + j, x) for i, A_i in enumerate(A)
-                             for j, x in enumerate(A_i) if x])
-                 for A in stab.basis]
-    complement = linalg.kernel(stab_rows, 64)
+    complement = linalg.kernel(
+        list(splits.stabilizer_dimension(phi0).basis), 64)
     if len(complement) != 43:  # 64 - 21
         raise ArithmeticError(
             f"the stabilizer of the Cayley form has a complement of "

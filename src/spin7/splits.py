@@ -22,10 +22,14 @@ a matrix is plus or minus a coefficient of the form:
   refinement read their eigenspaces from it, and the cylinder types
   their hats *( *phi ^ . ).
 
-The 4-form split works on half of the 70 coordinates.  Columns are masks
-in increasing order, so the 35 masks without dx_8 are columns 0-34, and
-the Hodge star pairs each of them with one of columns 35-69.  A self-dual
-4-form is fixed by either half of its coordinates.
+Every star sign is read from ``forms._star_negated``, the table of the
+Hodge star itself.  The 4-form split works on half of the 70
+coordinates.  Columns are masks in increasing order, so the 35 masks
+without dx_8 are columns 0-34, and taking the complement reverses the
+order: the star sends column j to column 69 - j.  A self-dual 4-form is
+fixed by either half of its coordinates, and the anti-self-dual block is
+dx_m - *dx_m over the columns 35-69, with no elimination.  The
+stabilizer is kept as kernel rows, column i*n + j for E_ij.
 """
 
 from __future__ import annotations
@@ -37,8 +41,8 @@ from functools import lru_cache
 from math import lcm
 
 from spin7.forms import (
-    Multivector, contract, cylinder_form, g2_split, hodge_star, inner,
-    merge_sign, wedge,
+    Multivector, _star_negated, contract, cylinder_form, g2_split,
+    hodge_star, inner, merge_sign, wedge,
 )
 from spin7 import linalg
 from spin7.linalg import Matrix, Row
@@ -82,22 +86,15 @@ def from_coords(v: Row, n: int, r: int) -> Multivector:
     return Multivector._reduced(n, r, {masks[j]: x for j, x in entries}, d)
 
 
-@lru_cache(maxsize=None)
-def _star_columns(n: int, r: int) -> tuple[tuple[int, bool], ...]:
-    """(column, negated) of the Hodge star *dx_m, a degree-(n - r)
-    monomial up to sign, for each degree-r monomial dx_m."""
-    full = (1 << n) - 1
-    columns = _columns(n, n - r)
-    return tuple((columns[full ^ m], merge_sign(m, full ^ m) < 0)
-                 for m in monomial_masks(n, r))
-
-
 def _self_dual(v: Row) -> Row:
     """The self-dual 4-form on R^8 that agrees with ``v`` on one half of
-    the columns, ``v`` listing columns of that half only."""
+    the columns, ``v`` listing columns of that half only.  The complement
+    of the j-th 4-mask is the (69 - j)-th, so *dx_m sits in column 69 - j
+    with the sign of ``forms._star_negated``."""
     entries, d = v
-    star = _star_columns(8, 4)
-    return sorted(entries + [(star[j][0], -x if star[j][1] else x)
+    masks = monomial_masks(8, 4)
+    negated = _star_negated(8)
+    return sorted(entries + [(69 - j, -x if negated[masks[j]] else x)
                              for j, x in entries]), d
 
 
@@ -184,9 +181,10 @@ def _monomial_star_wedge(n: int, r: int, mask: int
     sign sorts dx_mask ^ dx_m and then applies the star."""
     full = (1 << n) - 1
     rows = _columns(n, n - mask.bit_count() - r)
+    star_negated = _star_negated(n)
     return tuple(
         (rows[full ^ union], j,
-         merge_sign(mask, m) * merge_sign(union, full ^ union) < 0)
+         (merge_sign(mask, m) < 0) != star_negated[union])
         for j, m in enumerate(monomial_masks(n, r)) if not mask & m
         for union in (mask | m,))
 
@@ -357,15 +355,16 @@ def three_form_split(phi: Multivector) -> TypeSplit:
 
 @lru_cache(maxsize=1)
 def _anti_self_dual_block() -> tuple[Multivector, ...]:
-    """The rank-35 block of every 4-form split: the -1 eigenspace of the
-    Euclidean Hodge star on 4-forms, which does not depend on Phi.
-    Computed on first use and shared by every split."""
-    (anti,) = _eigenspaces(operator_matrix(hodge_star, 8, 4, 4), 8, 4, (-1,))
-    if len(anti) != 35:  # ** = 1 on 4-forms on R^8, trace of * is 0
-        raise ArithmeticError(
-            f"the Hodge star on 4-forms on R^8 has a -1 eigenspace of rank "
-            f"{len(anti)}, not 35")
-    return tuple(anti)
+    """The rank-35 block of every 4-form split: the anti-self-dual 4-forms,
+    which do not depend on Phi.  Its basis is dx_m - *dx_m over the masks
+    m with dx_8, columns 35-69 in order, the kernel basis of * + 1 whose
+    free columns are those.  Built on first use and shared by every
+    split."""
+    masks = monomial_masks(8, 4)
+    negated = _star_negated(8)
+    return tuple(Multivector._trusted(8, 4, {
+        masks[69 - j]: 1 if negated[masks[j]] else -1, masks[j]: 1})
+        for j in range(35, 70))
 
 
 def four_form_split(phi: Multivector) -> TypeSplit:
@@ -466,18 +465,13 @@ class StabilizerResult:
 
     form: Multivector
     dim: int
-    basis: tuple[Matrix, ...]  # n x n rational matrices
+    basis: tuple[Row, ...]  # column i*n + j holds the entry of E_ij
 
 
 def stabilizer_dimension(form: Multivector) -> StabilizerResult:
-    """Exact kernel of A -> (derivation action of A on the form)."""
-    n = form.dimension
-    basis = []
-    for entries, d in linalg.kernel(action_matrix(form), n * n):
-        A: Matrix = [[0] * n for _ in range(n)]
-        for col, x in entries:
-            A[col // n][col % n] = Fraction(x, d)
-        basis.append(A)
+    """Exact kernel of A -> (derivation action of A on the form), as the
+    kernel rows of ``action_matrix``."""
+    basis = linalg.kernel(action_matrix(form), form.dimension ** 2)
     return StabilizerResult(form, len(basis), tuple(basis))
 
 

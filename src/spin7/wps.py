@@ -100,17 +100,6 @@ _COMPLEX_PATTERN = re.compile(
     r"^\s*(?:(?P<re>[+-]?\d+)(?:/(?P<re_den>\d+))?(?![0-9/]*i))?\s*"
     r"(?:(?P<im>[+-]?)(?:(?P<im_num>\d+)(?:/(?P<im_den>\d+))?)?i)?\s*$")
 
-I_UNIT = GaussianRational(Fraction(0), Fraction(1))
-_UNIT_POWERS = (GaussianRational(Fraction(1)), I_UNIT,
-                GaussianRational(Fraction(-1)),
-                GaussianRational(Fraction(0), Fraction(-1)))
-
-
-def unit_power(k: int) -> GaussianRational:
-    """i**k as an exact Gaussian rational."""
-    return _UNIT_POWERS[k % 4]
-
-
 def _rotate(c: GaussianRational, k: int) -> GaussianRational:
     """c * i**k, by swapping and negating the parts of c."""
     k %= 4
@@ -416,9 +405,6 @@ class InvolutionDatum:
             raise ValueError("the permutation must square to the identity")
         if len(self.phase_powers) != n1:
             raise ValueError("one phase per coordinate")
-
-    def phase(self, i: int) -> GaussianRational:
-        return unit_power(self.phase_powers[i])
 
 
 @dataclass(frozen=True)

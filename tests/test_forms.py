@@ -377,6 +377,14 @@ def test_parse_form_examples():
         parse_form("1 dx[1,2] 3 dx[1,2,3]", 8)  # mixed degrees
 
 
+@pytest.mark.parametrize("text", ["", "  \n"])
+@pytest.mark.parametrize("degree", [None, 2])
+def test_parse_form_rejects_a_blank_literal(text, degree):
+    # the grammar is "0" | term+: a blank literal is not the zero form
+    with pytest.raises(ValueError, match="bad form literal"):
+        parse_form(text, 8, degree)
+
+
 # ---------------------------------------------------------------------------
 # distinguished forms
 # ---------------------------------------------------------------------------

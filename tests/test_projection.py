@@ -27,6 +27,12 @@ def test_form_array_round_trip():
         pytest.approx(v)
 
 
+@pytest.mark.parametrize("shape", [(3,), (80,), (70, 1), (7, 10)])
+def test_array_to_form_rejects_other_shapes(shape):
+    with pytest.raises(ValueError, match="length-70"):
+        projection.array_to_form(np.ones(shape))
+
+
 def test_fourth_exterior_power_functoriality():
     rng = np.random.default_rng(RNG_SEED)
     g = rng.standard_normal((8, 8))

@@ -50,12 +50,19 @@ def test_two_form_split():
     _projections_resolve_identity(split, sample)
 
 
+def _matrix(row, n):
+    """The n x n matrix of a stabilizer row, whose column i*n + j holds
+    entry (i, j)."""
+    flat = linalg.dense(row, n * n)
+    return [flat[i * n:(i + 1) * n] for i in range(n)]
+
+
 def test_rank_21_block_is_the_cayley_stabilizer_algebra():
     split = splits.two_form_split(PHI)
     stab = splits.stabilizer_dimension(PHI)
     # Convert each stabilizer element (antisymmetric part) to a 2-form and
     # check it projects trivially to the rank-7 block.
-    for A in stab.basis:
+    for A in (_matrix(row, 8) for row in stab.basis):
         alpha = Multivector.from_terms(
             8, [((i + 1, j + 1), A[i][j] - A[j][i])
                 for i in range(8) for j in range(i + 1, 8)])
@@ -120,9 +127,13 @@ def test_su4_refinement_of_the_two_form_split():
 
 
 def test_stabilizer_dimensions():
-    assert splits.stabilizer_dimension(PHI).dim == 21
-    assert splits.stabilizer_dimension(g2_phi()).dim == 14
-    assert splits.stabilizer_dimension(volume_form(8)).dim == 63  # sl(8)
+    for form, dim in ((PHI, 21), (g2_phi(), 14),
+                      (volume_form(8), 63)):  # sl(8)
+        stab = splits.stabilizer_dimension(form)
+        assert stab.dim == len(stab.basis) == dim
+        for row in stab.basis:
+            A = _matrix(row, form.dimension)
+            assert splits.infinitesimal_action(A, form).is_zero()
 
 
 def _wedged_contractions(A, form):
@@ -185,8 +196,8 @@ def test_stabilizer_and_four_form_split_of_a_rotated_cayley_form(form):
     assert any(c.denominator > 1 for c in form.terms.values())
     stab = splits.stabilizer_dimension(form)
     assert stab.dim == 21
-    for A in stab.basis:
-        assert _wedged_contractions(A, form).is_zero()
+    for row in stab.basis:
+        assert _wedged_contractions(_matrix(row, 8), form).is_zero()
     assert splits.four_form_split(form).ranks == (1, 7, 27, 35)
 
 
@@ -277,10 +288,9 @@ def _bases(subject):
                 for label, basis in split.blocks}
 
     def stabilizer(form):
-        n = form.dimension
         return {"stabilizer": [
-            [(i * n + j, A[i][j]) for i in range(n) for j in range(n)
-             if A[i][j]] for A in splits.stabilizer_dimension(form).basis]}
+            [(k, Fraction(x, d)) for k, x in sorted(entries)]
+            for entries, d in splits.stabilizer_dimension(form).basis]}
 
     if subject == "g2_phi":
         cylinder = splits.cylinder_two_form_types(
@@ -430,6 +440,22 @@ def test_anti_self_dual_block_is_computed_once():
     # the rank-35 block does not depend on Phi: every split shares it
     assert (splits.four_form_split(PHI).basis("35")
             is splits.four_form_split(ROTATED[0]).basis("35"))
+
+
+def test_anti_self_dual_block_is_the_kernel_of_the_star_plus_one():
+    # the oracle: the -1 eigenspace of the operator matrix of the star on
+    # 4-forms, from one elimination, field by field and in the same order
+    shifted = []
+    for k, (entries, d) in enumerate(
+            splits.operator_matrix(hodge_star, 8, 4, 4)):
+        assert all(j != k for j, _ in entries)  # * has no diagonal
+        shifted.append((entries + [(k, d)], d))
+    kernel = [splits.from_coords(v, 8, 4) for v in linalg.kernel(shifted, 70)]
+    anti = splits._anti_self_dual_block()
+    assert len(anti) == 35
+    assert ([(list(b.numerators.items()), b.denominator) for b in anti]
+            == [(list(b.numerators.items()), b.denominator)
+                for b in kernel])
 
 
 # ---------------------------------------------------------------------------
@@ -664,22 +690,31 @@ def test_rotation_table_on_the_split_inputs(form):
             == _rotation_images_by_action_matrix(form))
 
 
+def test_the_star_pairs_column_j_with_column_69_minus_j():
+    # the premise of the half-column 4-form split and of the closed-form
+    # anti-self-dual block
+    masks = splits.monomial_masks(8, 4)
+    for j, mask in enumerate(masks):
+        (starred, _), = hodge_star(Multivector(8, 4, {mask: 1})).terms.items()
+        assert starred == masks[69 - j]
+
+
 def test_rotations_commute_with_the_star_on_every_4_form_monomial():
     # the premise of four_form_split: the images of a self-dual Phi are
     # self-dual, which holds once the star of every monomial's image is
     # the image of its star.  Checked on all 70 monomials, so by
     # linearity on every 4-form
-    star = splits._star_columns(8, 4)
     masks = splits.monomial_masks(8, 4)
-    for k, mask in enumerate(masks):
-        column, negated = star[k]
-        starred_mask = masks[column]
-        images = _rotation_images_by_table(Multivector(8, 4, {mask: 1}))
-        of_star = _rotation_images_by_table(
-            Multivector(8, 4, {starred_mask: -1 if negated else 1}))
+
+    def as_form(image):
+        return Multivector(8, 4, {masks[row]: x for row, x in image.items()})
+
+    for mask in masks:
+        monomial = Multivector(8, 4, {mask: 1})
+        images = _rotation_images_by_table(monomial)
+        of_star = _rotation_images_by_table(hodge_star(monomial))
         for image, expected in zip(images, of_star):
-            assert {star[row][0]: -x if star[row][1] else x
-                    for row, x in image.items()} == expected
+            assert hodge_star(as_form(image)) == as_form(expected)
 
 
 def _cylinder_forms_by_wedge_and_star(phi):

@@ -72,15 +72,6 @@ def test_gaussian_parse_rejects(text):
         GaussianRational.parse(text)
 
 
-def test_unit_power_cycles():
-    assert wps.unit_power(0) == GR(1)
-    assert wps.unit_power(1) == GR(0, 1)
-    assert wps.unit_power(2) == GR(-1)
-    assert wps.unit_power(3) == GR(0, -1)
-    assert wps.unit_power(4) == GR(1)
-    assert wps.unit_power(-1) == GR(0, -1)
-
-
 # ---------------------------------------------------------------------------
 # weighted spaces and well-formedness
 # ---------------------------------------------------------------------------
