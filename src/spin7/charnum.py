@@ -39,12 +39,10 @@ def total_chern(weights: Sequence[int],
     return c
 
 
-def degree_pairing(weights: Sequence[int], degrees: Sequence[int],
-                   power: int) -> Fraction:
-    """Pairing of x^power against the fundamental class: prod d / prod a."""
-    dim = len(weights) - 1 - len(degrees)
-    if power != dim:
-        raise ValueError(f"power {power} does not match the dimension {dim}")
+def degree_pairing(weights: Sequence[int], degrees: Sequence[int]
+                   ) -> Fraction:
+    """Pairing of x^dim against the fundamental class, dim the dimension
+    of the complete intersection: prod d / prod a."""
     return Fraction(prod(degrees, start=1), prod(weights))
 
 
@@ -68,7 +66,7 @@ def euler_characteristics(weights: Sequence[int], degrees: Sequence[int],
     """
     dim = len(weights) - 1 - len(degrees)
     top = total_chern(weights, degrees)[dim]
-    chi_orb = top * degree_pairing(weights, degrees, dim)
+    chi_orb = top * degree_pairing(weights, degrees)
     corrections = tuple(Fraction(m - 1, m) for m in singular_orders)
     total = sum(corrections, chi_orb)
     if total.denominator != 1:
@@ -95,7 +93,7 @@ def noether_pg(weights: Sequence[int],
     k_squared, rest = divmod(canonical * canonical * prod(degrees),
                              prod(weights))
     if rest:
-        pairing = canonical * canonical * degree_pairing(weights, degrees, 2)
+        pairing = canonical * canonical * degree_pairing(weights, degrees)
         raise ValueError(f"K^2 = {pairing} is not an integer")
     chi_o, rest = divmod(k_squared + chi, 12)
     if rest:

@@ -267,7 +267,7 @@ def cmd_analyze(args) -> int:
     try:
         with open(args.config_path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"cannot read configuration: {exc}", file=sys.stderr)
         return EXIT_INPUT
     try:

@@ -190,8 +190,10 @@ def load_config(text: str) -> Configuration:
     except ValueError as exc:
         raise SchemaError(f"involution: {exc}") from None
 
+    poly_docs = doc.get("polynomials", [])
+    _require(isinstance(poly_docs, list), "polynomials must be a list")
     polys = []
-    for i, p in enumerate(doc.get("polynomials", [])):
+    for i, p in enumerate(poly_docs):
         _object(p, f"polynomials[{i}]", {"name", "terms"})
         _require(isinstance(p.get("name"), str),
                  f"polynomials[{i}].name must be a string")

@@ -4,10 +4,12 @@ A ``Row`` is a pair ``(entries, denominator)``: ``entries`` lists
 ``(column, int)`` pairs with nonzero ints, each column at most once, and
 the row holds ``x / denominator`` at each listed column and zero elsewhere.
 The rows that ``echelon`` and ``kernel`` return list their columns in
-increasing order and share one positive denominator.  Nothing bounds the
-number of columns; the splits pass at most 70, the space of 4-forms on
-R^8.  ``echelon`` is the one elimination kernel; it eliminates modulo a
-prime and certifies the result in exact integers:
+increasing order and share one positive denominator.  A column is any
+nonnegative int key: the splits key the coefficient of dx_m by the
+bitmask m, so the 70 columns of 4-forms on R^8 are the masks of four bits
+below 256, and ``kernel`` is told which keys are columns.  ``echelon`` is
+the one elimination kernel; it eliminates modulo a prime and certifies the
+result in exact integers:
 
 1. a row and its numerators span the same line, so denominators play no
    part in the elimination;
@@ -42,6 +44,7 @@ result a nonzero entry is a ``Fraction`` and a zero is the int ``0``.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from fractions import Fraction
 from itertools import chain
 from math import gcd, isqrt, lcm, prod
@@ -173,20 +176,20 @@ def echelon(rows: list[Row]) -> tuple[list[Row], list[int]]:
              for col, pairs in zip(pivots, free)], pivots)
 
 
-def kernel(rows: list[Row], ncols: int) -> list[Row]:
-    """Basis of the right kernel of rows with ``ncols`` columns (exact),
-    one vector per free column f, with 1 at f and 0 at the other free
-    columns."""
+def kernel(rows: list[Row], columns: Iterable[int]) -> list[Row]:
+    """Basis of the right kernel of rows over the column keys ``columns``,
+    given in increasing order (exact): one vector per free column f, with
+    1 at f and 0 at the other free columns."""
     pivots, free, scale = _reduce(rows)
     # row k is zero left of its pivot, so column f holds entries only of
     # rows whose pivot is left of f: appending (f, D) keeps them in order
-    columns: list[list[tuple[int, int]]] = [[] for _ in range(ncols)]
+    by_column: dict[int, list[tuple[int, int]]] = {j: [] for j in columns}
     for col, pairs in zip(pivots, free):
         for j, s in pairs:
-            columns[j].append((col, -s))
+            by_column[j].append((col, -s))
     pivot_set = set(pivots)
-    return [(columns[f] + [(f, scale)], scale)
-            for f in range(ncols) if f not in pivot_set]
+    return [(entries + [(f, scale)], scale)
+            for f, entries in by_column.items() if f not in pivot_set]
 
 
 def dense(r: Row, ncols: int) -> Vector:
@@ -222,7 +225,7 @@ def rank(matrix: Matrix) -> int:
 def nullspace(matrix: Matrix) -> list[Vector]:
     """Basis of the right kernel (exact); none for the empty matrix."""
     rows, ncols = _rows(matrix)
-    return [dense(v, ncols) for v in kernel(rows, ncols)]
+    return [dense(v, ncols) for v in kernel(rows, range(ncols))]
 
 
 def solve(matrix: Matrix, rhs: Vector) -> Vector | None:

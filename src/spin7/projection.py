@@ -33,7 +33,7 @@ TOLERANCE = 1e-12
 MAX_ITERATIONS = 50
 
 _MASKS = splits.monomial_masks(8, 4)
-_MASK_INDEX = splits._columns(8, 4)
+_MASK_INDEX = {m: k for k, m in enumerate(_MASKS)}  # position in a vector
 _QUADS = [tuple(i for i in range(8) if m & (1 << i)) for m in _MASKS]
 
 # Flat positions in the antisymmetric 8^4 tensor: entry (I permuted by
@@ -172,7 +172,7 @@ def _newton_data() -> dict:
     phi0 = cayley_form()
     # 43-dimensional Frobenius-orthogonal complement of the stabilizer
     complement = linalg.kernel(
-        list(splits.stabilizer_dimension(phi0).basis), 64)
+        list(splits.stabilizer_dimension(phi0).basis), range(64))
     if len(complement) != 43:  # 64 - 21
         raise ArithmeticError(
             f"the stabilizer of the Cayley form has a complement of "

@@ -22,14 +22,16 @@ a matrix is plus or minus a coefficient of the form:
   refinement read their eigenspaces from it, and the cylinder types
   their hats *( *phi ^ . ).
 
-Every star sign is read from ``forms._star_negated``, the table of the
-Hodge star itself.  The 4-form split works on half of the 70
-coordinates.  Columns are masks in increasing order, so the 35 masks
-without dx_8 are columns 0-34, and taking the complement reverses the
-order: the star sends column j to column 69 - j.  A self-dual 4-form is
-fixed by either half of its coordinates, and the anti-self-dual block is
-dx_m - *dx_m over the columns 35-69, with no elimination.  The
-stabilizer is kept as kernel rows, column i*n + j for E_ij.
+The column of the coefficient of dx_m in every exact row is the mask m
+itself, so a form's numerators are its row as they stand; the rows of
+each matrix are listed in increasing mask order.  Every star sign is
+read from ``forms._star_negated``, the table of the Hodge star itself,
+and the star sends dx_m to +-dx_(255 ^ m) on R^8.  The 4-form split
+works on half of the 70 coordinates: a self-dual 4-form is fixed by
+its coefficients at the masks with dx_8 (``m & 128``), or at those
+without, and the anti-self-dual block is dx_m - *dx_m over the masks
+with dx_8, with no elimination.  The stabilizer is kept as kernel rows,
+column i*n + j for E_ij.
 """
 
 from __future__ import annotations
@@ -63,55 +65,44 @@ def monomial_masks(n: int, r: int) -> tuple[int, ...]:
                         for combo in itertools.combinations(range(n), r)))
 
 
-@lru_cache(maxsize=None)
-def _columns(n: int, r: int) -> dict[int, int]:
-    """Column of each degree-r monomial mask."""
-    return {m: k for k, m in enumerate(monomial_masks(n, r))}
-
-
 def to_coords(a: Multivector) -> Row:
-    """The coefficients of ``a`` on the monomial basis, as a row.  A form's
-    lowest-terms denominator is the lcm of its coefficients' denominators,
-    so this is ``linalg.row`` of its coefficients."""
-    columns = _columns(a.dimension, a.degree)
-    return ([(columns[m], x) for m, x in a.numerators.items()],
-            a.denominator)
+    """The coefficients of ``a`` on the monomial basis, as a row: its
+    numerators, column m for dx_m, over its denominator."""
+    return list(a.numerators.items()), a.denominator
 
 
 def from_coords(v: Row, n: int, r: int) -> Multivector:
     """The degree-r form on R^n with coefficients ``v`` on the monomial
     basis."""
-    masks = monomial_masks(n, r)
     entries, d = v
-    return Multivector._reduced(n, r, {masks[j]: x for j, x in entries}, d)
+    return Multivector._reduced(n, r, dict(entries), d)
 
 
 def _self_dual(v: Row) -> Row:
     """The self-dual 4-form on R^8 that agrees with ``v`` on one half of
-    the columns, ``v`` listing columns of that half only.  The complement
-    of the j-th 4-mask is the (69 - j)-th, so *dx_m sits in column 69 - j
-    with the sign of ``forms._star_negated``."""
+    the masks, ``v`` listing masks of that half only: *dx_m is
+    +-dx_(255 ^ m), with the sign of ``forms._star_negated``."""
     entries, d = v
-    masks = monomial_masks(8, 4)
     negated = _star_negated(8)
-    return sorted(entries + [(69 - j, -x if negated[masks[j]] else x)
-                             for j, x in entries]), d
+    return sorted(entries + [(255 ^ m, -x if negated[m] else x)
+                             for m, x in entries]), d
 
 
 def operator_matrix(op, n: int, r_in: int, r_out: int) -> list[Row]:
-    """Rows of a linear map Lambda^r_in -> Lambda^r_out in monomial bases:
-    entry (i, j) is the coefficient of out monomial i in op(in monomial j).
-    The rows share the lcm of the images' denominators."""
-    columns = _columns(n, r_out)
-    images = [op(Multivector._trusted(n, r_in, {m: 1}))
-              for m in monomial_masks(n, r_in)]
-    d = lcm(*[image.denominator for image in images])
-    rows: list[list[tuple[int, int]]] = [[] for _ in columns]
-    for j, image in enumerate(images):
+    """Rows of a linear map Lambda^r_in -> Lambda^r_out in monomial bases,
+    one per out monomial in increasing mask order: column m of row i is
+    the coefficient of out monomial i in op(dx_m).  The rows share the lcm
+    of the images' denominators."""
+    images = {m: op(Multivector._trusted(n, r_in, {m: 1}))
+              for m in monomial_masks(n, r_in)}
+    d = lcm(*[image.denominator for image in images.values()])
+    rows: dict[int, list[tuple[int, int]]] = {
+        m: [] for m in monomial_masks(n, r_out)}
+    for m, image in images.items():
         scale = d // image.denominator
         for mask, x in image.numerators.items():
-            rows[columns[mask]].append((j, x * scale))
-    return [(entries, d) for entries in rows]
+            rows[mask].append((m, x * scale))
+    return [(entries, d) for entries in rows.values()]
 
 
 # ---------------------------------------------------------------------------
@@ -120,13 +111,12 @@ def operator_matrix(op, n: int, r_in: int, r_out: int) -> list[Row]:
 
 @lru_cache(maxsize=None)
 def _monomial_action(n: int, mask: int) -> tuple[tuple[int, int, bool], ...]:
-    """(row, column, negated) of each entry of the action matrix of the
-    monomial dx_mask, all +-1: one per E_ij that replaces a dx_i of the
+    """(row mask, column, negated) of each entry of the action matrix of
+    the monomial dx_mask, all +-1: one per E_ij that replaces a dx_i of the
     monomial by a dx_j it lacks (a repeated index kills the term).  The
     sign moves dx_i to the front, swaps it for dx_j and sorts back."""
-    columns = _columns(n, mask.bit_count())
     return tuple(
-        (columns[rest | 1 << j], i * n + j,
+        (rest | 1 << j, i * n + j,
          merge_sign(1 << i, rest) * merge_sign(1 << j, rest) < 0)
         for i in range(n) if mask >> i & 1
         for rest in (mask ^ 1 << i,)
@@ -136,7 +126,7 @@ def _monomial_action(n: int, mask: int) -> tuple[tuple[int, int, bool], ...]:
 @lru_cache(maxsize=None)
 def _monomial_rotation(n: int, mask: int
                        ) -> tuple[tuple[int, int, bool], ...]:
-    """(generator, row, negated) of each entry of the images of dx_mask
+    """(generator, row mask, negated) of each entry of the images of dx_mask
     under the generators E_ij - E_ji of so(n), i < j, numbered in
     ``itertools.combinations`` order: the entries of ``_monomial_action``
     in the columns E_ij and E_ji, the latter negated.  E_ij only reaches
@@ -155,37 +145,35 @@ def _monomial_rotation(n: int, mask: int
 def action_matrix(form: Multivector) -> list[Row]:
     """Exact rows of the derivation action A -> A.form of gl(n).
 
-    Row k belongs to the k-th degree-r monomial and column i*n + j to the
-    elementary matrix E_ij, which replaces dx_i by dx_j.  A (row, column)
-    pair determines the source monomial, so every nonzero entry is plus or
-    minus one coefficient of the form: it is picked from (c, -c) by sign
-    and never multiplied.  The rows share the form's denominator and list
-    their columns in no particular order.
+    The rows belong to the degree-r monomials in increasing mask order,
+    and column i*n + j to the elementary matrix E_ij, which replaces dx_i
+    by dx_j.  A (row, column) pair determines the source monomial, so
+    every nonzero entry is plus or minus one coefficient of the form: it
+    is picked from (c, -c) by sign and never multiplied.  The rows share
+    the form's denominator and list their columns in no particular order.
     """
     n = form.dimension
-    rows: list[list[tuple[int, int]]] = [
-        [] for _ in monomial_masks(n, form.degree)]
+    rows: dict[int, list[tuple[int, int]]] = {
+        m: [] for m in monomial_masks(n, form.degree)}
     for mask, c in form.numerators.items():
         pair = (c, -c)
         for row, col, negated in _monomial_action(n, mask):
             rows[row].append((col, pair[negated]))
-    return [(r, form.denominator) for r in rows]
+    return [(r, form.denominator) for r in rows.values()]
 
 
 @lru_cache(maxsize=None)
 def _monomial_star_wedge(n: int, r: int, mask: int
                          ) -> tuple[tuple[int, int, bool], ...]:
-    """(row, column, negated) of each entry of the matrix of
+    """(row mask, column mask, negated) of each entry of the matrix of
     a -> *(dx_mask ^ a) on r-forms, all +-1: one per degree-r monomial
     dx_m disjoint from dx_mask, sent to the complement of mask | m.  The
     sign sorts dx_mask ^ dx_m and then applies the star."""
     full = (1 << n) - 1
-    rows = _columns(n, n - mask.bit_count() - r)
     star_negated = _star_negated(n)
     return tuple(
-        (rows[full ^ union], j,
-         (merge_sign(mask, m) < 0) != star_negated[union])
-        for j, m in enumerate(monomial_masks(n, r)) if not mask & m
+        (full ^ union, m, (merge_sign(mask, m) < 0) != star_negated[union])
+        for m in monomial_masks(n, r) if not mask & m
         for union in (mask | m,))
 
 
@@ -193,20 +181,20 @@ def star_wedge_matrix(psi: Multivector, r: int) -> list[Row]:
     """Exact rows of a -> *(psi ^ a) from r-forms to (n - s - r)-forms,
     s the degree of psi, in monomial bases.
 
-    Row k belongs to the k-th output monomial and column j to the j-th
-    input monomial.  A (row, column) pair determines the monomial of psi
-    that joins them, so, as in ``action_matrix``, every nonzero entry is
-    plus or minus one coefficient of psi.  The rows share psi's
-    denominator and list their columns in no particular order.
+    The rows belong to the output monomials in increasing mask order, and
+    column m to the input monomial dx_m.  A (row, column) pair determines
+    the monomial of psi that joins them, so, as in ``action_matrix``,
+    every nonzero entry is plus or minus one coefficient of psi.  The rows
+    share psi's denominator and list their columns in no particular order.
     """
     n = psi.dimension
-    rows: list[list[tuple[int, int]]] = [
-        [] for _ in monomial_masks(n, n - psi.degree - r)]
+    rows: dict[int, list[tuple[int, int]]] = {
+        m: [] for m in monomial_masks(n, n - psi.degree - r)}
     for mask, c in psi.numerators.items():
         pair = (c, -c)
         for row, col, negated in _monomial_star_wedge(n, r, mask):
             rows[row].append((col, pair[negated]))
-    return [(entries, psi.denominator) for entries in rows]
+    return [(entries, psi.denominator) for entries in rows.values()]
 
 
 def infinitesimal_action(A: Matrix, form: Multivector) -> Multivector:
@@ -214,10 +202,10 @@ def infinitesimal_action(A: Matrix, form: Multivector) -> Multivector:
     the action matrix applied to the n*n entries of A."""
     n, r = form.dimension, form.degree
     flat = [a for row in A for a in row]
-    masks = monomial_masks(n, r)
     return Multivector(n, r, {
-        masks[k]: Fraction(sum(c * flat[j] for j, c in entries), d)
-        for k, (entries, d) in enumerate(action_matrix(form))})
+        m: Fraction(sum(c * flat[j] for j, c in entries), d)
+        for m, (entries, d) in zip(monomial_masks(n, r),
+                                   action_matrix(form))})
 
 
 # ---------------------------------------------------------------------------
@@ -287,17 +275,18 @@ def _eigenspaces(matrix: list[Row], n: int, r: int,
                  eigenvalues: tuple[int, ...]) -> list[list[Multivector]]:
     """Exact eigenspaces of the rows of a linear map Lambda^r -> Lambda^r,
     one basis per requested eigenvalue."""
+    masks = monomial_masks(n, r)
     out = []
     for eigenvalue in eigenvalues:
         shifted = []
-        for i, (entries, d) in enumerate(matrix):
+        for m, (entries, d) in zip(masks, matrix):
             diagonal = dict(entries)
-            x = diagonal.pop(i, 0) - eigenvalue * d
+            x = diagonal.pop(m, 0) - eigenvalue * d
             if x:
-                diagonal[i] = x
+                diagonal[m] = x
             shifted.append((list(diagonal.items()), d))
         out.append([from_coords(v, n, r)
-                    for v in linalg.kernel(shifted, len(matrix))])
+                    for v in linalg.kernel(shifted, masks)])
     return out
 
 
@@ -306,7 +295,7 @@ def _complement(forms: list[Multivector]) -> list[Multivector]:
     n, r = forms[0].dimension, forms[0].degree
     rows = [to_coords(f) for f in forms]
     return [from_coords(v, n, r)
-            for v in linalg.kernel(rows, len(monomial_masks(n, r)))]
+            for v in linalg.kernel(rows, monomial_masks(n, r))]
 
 
 def two_form_split(phi: Multivector) -> TypeSplit:
@@ -357,14 +346,12 @@ def three_form_split(phi: Multivector) -> TypeSplit:
 def _anti_self_dual_block() -> tuple[Multivector, ...]:
     """The rank-35 block of every 4-form split: the anti-self-dual 4-forms,
     which do not depend on Phi.  Its basis is dx_m - *dx_m over the masks
-    m with dx_8, columns 35-69 in order, the kernel basis of * + 1 whose
-    free columns are those.  Built on first use and shared by every
-    split."""
-    masks = monomial_masks(8, 4)
+    m with dx_8 in increasing order, the kernel basis of * + 1 whose free
+    columns are those.  Built on first use and shared by every split."""
     negated = _star_negated(8)
     return tuple(Multivector._trusted(8, 4, {
-        masks[69 - j]: 1 if negated[masks[j]] else -1, masks[j]: 1})
-        for j in range(35, 70))
+        255 ^ m: 1 if negated[m] else -1, m: 1})
+        for m in monomial_masks(8, 4) if m & 128)
 
 
 def four_form_split(phi: Multivector) -> TypeSplit:
@@ -385,13 +372,14 @@ def four_form_split(phi: Multivector) -> TypeSplit:
 
     # so(8) commutes with *, so the images of the self-dual Phi under the
     # generators E_ij - E_ji are self-dual, and so are their reduced rows,
-    # which then have their pivots among columns 0-34: eliminating there
-    # and extending by * gives the reduced rows of all 70 columns
+    # which then have their pivots among the masks without dx_8:
+    # eliminating there and extending by * gives the reduced rows of all 70
+    # columns
     low: list[Row] = [([], phi.denominator) for _ in range(28)]
     for mask, c in phi.numerators.items():
         pair = (c, -c)
         for generator, row, negated in _monomial_rotation(8, mask):
-            if row < 35:
+            if not row & 128:
                 low[generator][0].append((row, pair[negated]))
     rows7 = [_self_dual(v) for v in linalg.echelon(low)[0]]
     block7 = [from_coords(v, 8, 4) for v in rows7]
@@ -405,16 +393,16 @@ def four_form_split(phi: Multivector) -> TypeSplit:
 
     # the anti-self-dual forms make up the rank-35 block, so the rank-27
     # block is the self-dual v orthogonal to Phi and the rank-7 block; for
-    # self-dual a, <a, v> is twice sum_m a_m v_m over the columns 35-69.  A
-    # kernel's free columns are its basis of columns picked greedily from
-    # the right, and self-dual forms are fixed by their columns 35-69, so
-    # this 35-column kernel has the free columns, and the basis, of the
-    # 70-column one
-    high = [([(k - 35, x) for k, x in entries if k >= 35], 1)
+    # self-dual a, <a, v> is twice sum_m a_m v_m over the masks with dx_8.
+    # A kernel's free columns are its basis of columns picked greedily
+    # from the right, and self-dual forms are fixed by their coefficients
+    # at those masks, the 35 largest, so this 35-column kernel has the
+    # free columns, and the basis, of the 70-column one
+    high = [([(m, x) for m, x in entries if m & 128], 1)
             for entries, _ in [to_coords(phi), *rows7]]
-    block27 = [from_coords(_self_dual(([(k + 35, x) for k, x in entries], e)),
-                           8, 4)
-               for entries, e in linalg.kernel(high, 35)]
+    block27 = [from_coords(_self_dual(v), 8, 4)
+               for v in linalg.kernel(high, [m for m in monomial_masks(8, 4)
+                                             if m & 128])]
     if len(block27) != 27:
         raise AdmissibilityError("rank-27 complement has wrong dimension")
     return TypeSplit(8, 4, phi, (
@@ -471,7 +459,7 @@ class StabilizerResult:
 def stabilizer_dimension(form: Multivector) -> StabilizerResult:
     """Exact kernel of A -> (derivation action of A on the form), as the
     kernel rows of ``action_matrix``."""
-    basis = linalg.kernel(action_matrix(form), form.dimension ** 2)
+    basis = linalg.kernel(action_matrix(form), range(form.dimension ** 2))
     return StabilizerResult(form, len(basis), tuple(basis))
 
 
@@ -496,31 +484,25 @@ def _cylinder_rows(phi: Multivector
     basis vector v.
 
     The hats *( *phi ^ . ) are the rows of ``star_wedge_matrix``.  dt is
-    x_1, so the 1-form dx_k on R^7 lifts to dx_1 ^ dx_{k+1}, mask
-    (2 << k) | 1, and the 2-form of mask m to the mask m << 1.
+    x_1, so a form of mask m on R^7 lifts to the mask m << 1 on R^8, and
+    dt ^ it to (m << 1) | 1.
     """
-    columns = _columns(8, 2)
-    one = [columns[(2 << k) | 1] for k in range(7)]
-    two = [columns[m << 1] for m in monomial_masks(7, 2)]
-    # hat[k][j]: the coefficient of dx_{k+1} in the hat of 2-form j
-    hat = [dict(entries)
-           for entries, _ in star_wedge_matrix(hodge_star(phi), 2)]
+    # hat[k][m]: the coefficient of dx_k in the hat of dx_m
+    hat = {k: dict(entries) for k, (entries, _) in zip(
+        monomial_masks(7, 1), star_wedge_matrix(hodge_star(phi), 2))}
     d = phi.denominator
-    twentyone: list[Row] = [([], d) for _ in two]
-    for k, entries in enumerate(hat):
-        for j, x in entries.items():
-            twentyone[j][0].append((one[k], x))
-    for j, column in enumerate(two):
-        twentyone[j][0].append((column, -d))
+    twentyone = [([((k << 1) | 1, row[m]) for k, row in hat.items()
+                   if m in row] + [(m << 1, -d)], d)
+                 for m in monomial_masks(7, 2)]
     seven: list[Row] = []
     hats: list[Row] = []
     for i in range(1, 8):
         entries, e = to_coords(contract(i, phi))
-        dual = [(k, y) for k, row in enumerate(hat)
-                if (y := sum(x * row.get(j, 0) for j, x in entries))]
+        dual = [(k, y) for k, row in hat.items()
+                if (y := sum(x * row.get(m, 0) for m, x in entries))]
         hats.append((dual, d * e))
-        seven.append(([(one[k], y) for k, y in dual]
-                      + [(two[j], 3 * d * x) for j, x in entries], d * e))
+        seven.append(([((k << 1) | 1, y) for k, y in dual]
+                      + [(m << 1, 3 * d * x) for m, x in entries], d * e))
     return seven, twentyone, hats
 
 
@@ -555,10 +537,11 @@ def cylinder_two_form_types(split: TypeSplit) -> CylinderTypes:
         raise AdmissibilityError(
             "rank-21 parameterization leaves the eigenspace split")
     # the 1-form *( *phi ^ (v -| phi) ) must equal scale * v-flat
-    if any(k != i for i, (entries, _) in enumerate(hats) for k, _ in entries):
+    if any(k != 1 << i for i, (entries, _) in enumerate(hats)
+           for k, _ in entries):
         raise AdmissibilityError(
             "contraction map is not a multiple of the metric dual")
-    scales = [Fraction(dict(entries).get(i, 0), d)
+    scales = [Fraction(dict(entries).get(1 << i, 0), d)
               for i, (entries, d) in enumerate(hats)]
     if len(set(scales)) != 1:
         raise AdmissibilityError(

@@ -84,11 +84,9 @@ def test_noether_rejects_fractional_invariants():
 
 
 def test_degree_pairing_examples():
-    assert degree_pairing([1, 1, 1, 1], [], 3) == 1
-    assert degree_pairing([1, 1, 1, 1, 4], [8], 3) == 2
-    assert degree_pairing([1, 1, 1, 1, 4], [8, 8], 2) == 16
-    with pytest.raises(ValueError):
-        degree_pairing([1, 1, 1, 1], [], 2)
+    assert degree_pairing([1, 1, 1, 1], []) == 1
+    assert degree_pairing([1, 1, 1, 1, 4], [8]) == 2
+    assert degree_pairing([1, 1, 1, 1, 4], [8, 8]) == 16
 
 
 def test_euler_characteristic_of_projective_spaces():

@@ -266,6 +266,15 @@ def test_analyze_input_errors_exit_two(tmp_path):
     assert code == cli.EXIT_INPUT and "schema error" in err
 
 
+def test_analyze_a_file_that_is_not_utf8_exits_two(tmp_path):
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes('{"name": "m\xe9"}'.encode("latin-1"))
+    code, out, err = run_cli("analyze", str(path))
+    assert code == cli.EXIT_INPUT
+    assert out == ""
+    assert err.startswith("cannot read configuration: ")
+
+
 def test_analyze_string_boolean_exits_two(tmp_path):
     doc = json.loads((CONFIG_DIR / "m1.cfg").read_text())
     doc["assume_simply_connected"] = "false"
@@ -312,6 +321,10 @@ def test_analyze_two_equation_variety_is_unsupported(tmp_path):
                  "divisor.degrees must extend", id="divisor-is-a-curve"),
     pytest.param(lambda d: d["divisor"].__setitem__("H11", 1000),
                  "divisor: unknown fields", id="nested-typo"),
+    # a value that is not a list must not pass as no polynomials
+    *(pytest.param(lambda d, v=value: d.__setitem__("polynomials", v),
+                   "polynomials must be a list", id=f"polynomials-{name}")
+      for name, value in (("int", 5), ("null", None), ("object", {}))),
 ])
 def test_analyze_schema_errors_exit_two(mutate, needle, tmp_path):
     code, out, err = run_cli("analyze", _m1_mutation(mutate, tmp_path))

@@ -274,14 +274,16 @@ def test_coefficients_are_stored_as_fractions(kind):
 
 
 def test_from_coords_reads_sparse_rows():
-    masks = splits.monomial_masks(4, 2)
-    # columns in any order, numerators over a shared, unreduced denominator
-    a = splits.from_coords(([(5, 10), (0, 7), (2, -42)], 14), 4, 2)
-    assert a == Multivector(4, 2, {masks[0]: Fraction(1, 2), masks[2]: -3,
-                                   masks[5]: Fraction(5, 7)})
+    # columns are masks, in any order, numerators over a shared,
+    # unreduced denominator
+    a = splits.from_coords(([(0b1100, 10), (0b0011, 7), (0b0110, -42)], 14),
+                           4, 2)
+    assert a == Multivector(4, 2, {0b0011: Fraction(1, 2), 0b0110: -3,
+                                   0b1100: Fraction(5, 7)})
     assert all(type(c) is Fraction for c in a.terms.values())
     entries, d = splits.to_coords(a)
-    assert (sorted(entries), d) == ([(0, 7), (2, -42), (5, 10)], 14)
+    assert (sorted(entries), d) == ([(0b0011, 7), (0b0110, -42),
+                                     (0b1100, 10)], 14)
     assert splits.from_coords(splits.to_coords(a), 4, 2) == a
 
 

@@ -295,7 +295,7 @@ def test_sparse_kernel_agrees_with_the_reference_elimination(case):
     assert [linalg.dense(r, ncols) for r in reduced] == expected[:len(pivots)]
     # one kernel vector per free column f: 1 at f, 0 at the other free
     # columns and minus column f of the reduced form at the pivots
-    kernel = linalg.kernel(rows, ncols)
+    kernel = linalg.kernel(rows, range(ncols))
     free = [f for f in range(ncols) if f not in pivots]
     assert len(kernel) == len(free)
     for v, f in zip(kernel, free):
@@ -309,6 +309,27 @@ def test_sparse_kernel_agrees_with_the_reference_elimination(case):
         assert _well_formed(r, ncols)
     for (entries, d), p in zip(reduced, pivots):
         assert entries[0] == (p, d)
+
+
+@settings(max_examples=80, deadline=None)
+@given(sparse_rows(), st.data())
+def test_increasing_column_keys_relabel_the_results(case, data):
+    # the splits key columns by monomial mask: any increasing relabelling
+    # of the columns relabels pivots, reduced rows and kernel alike
+    rows, ncols = case
+    keys = sorted(data.draw(st.sets(st.integers(0, 255), min_size=ncols,
+                                    max_size=ncols)))
+
+    def relabel(r):
+        entries, d = r
+        return [(keys[j], x) for j, x in entries], d
+
+    reduced, pivots = linalg.echelon(rows)
+    keyed, keyed_pivots = linalg.echelon([relabel(r) for r in rows])
+    assert keyed_pivots == [keys[p] for p in pivots]
+    assert keyed == [relabel(r) for r in reduced]
+    assert (linalg.kernel([relabel(r) for r in rows], keys)
+            == [relabel(v) for v in linalg.kernel(rows, range(ncols))])
 
 
 @settings(max_examples=80, deadline=None)

@@ -445,12 +445,14 @@ def test_anti_self_dual_block_is_computed_once():
 def test_anti_self_dual_block_is_the_kernel_of_the_star_plus_one():
     # the oracle: the -1 eigenspace of the operator matrix of the star on
     # 4-forms, from one elimination, field by field and in the same order
+    masks = splits.monomial_masks(8, 4)
     shifted = []
-    for k, (entries, d) in enumerate(
-            splits.operator_matrix(hodge_star, 8, 4, 4)):
-        assert all(j != k for j, _ in entries)  # * has no diagonal
-        shifted.append((entries + [(k, d)], d))
-    kernel = [splits.from_coords(v, 8, 4) for v in linalg.kernel(shifted, 70)]
+    for m, (entries, d) in zip(
+            masks, splits.operator_matrix(hodge_star, 8, 4, 4)):
+        assert all(j != m for j, _ in entries)  # * has no diagonal
+        shifted.append((entries + [(m, d)], d))
+    kernel = [splits.from_coords(v, 8, 4)
+              for v in linalg.kernel(shifted, masks)]
     anti = splits._anti_self_dual_block()
     assert len(anti) == 35
     assert ([(list(b.numerators.items()), b.denominator) for b in anti]
@@ -470,8 +472,9 @@ def _star_wedge_by_operator_matrix(psi, r):
                                   n, r, n - psi.degree - r)
 
 
-def _dense_rows(rows, ncols):
-    return [linalg.dense(r, ncols) for r in rows]
+def _exact_rows(rows):
+    """Rows as dicts of column mask -> exact entry."""
+    return [{m: Fraction(x, d) for m, x in entries} for entries, d in rows]
 
 
 NOT_SELF_DUAL = Multivector.from_terms(
@@ -484,8 +487,8 @@ NOT_SELF_DUAL = Multivector.from_terms(
                          ids=["cayley", "g1", "g2", "g3", "re_theta",
                               "not_self_dual"])
 def test_star_wedge_matrix_is_the_operator_matrix(psi):
-    assert (_dense_rows(splits.star_wedge_matrix(psi, 2), 28)
-            == _dense_rows(_star_wedge_by_operator_matrix(psi, 2), 28))
+    assert (_exact_rows(splits.star_wedge_matrix(psi, 2))
+            == _exact_rows(_star_wedge_by_operator_matrix(psi, 2)))
 
 
 @st.composite
@@ -504,9 +507,8 @@ def forms_and_degrees(draw):
 @given(forms_and_degrees())
 def test_star_wedge_matrix_is_the_operator_matrix_on_random_forms(case):
     psi, r = case
-    ncols = len(splits.monomial_masks(psi.dimension, r))
-    assert (_dense_rows(splits.star_wedge_matrix(psi, r), ncols)
-            == _dense_rows(_star_wedge_by_operator_matrix(psi, r), ncols))
+    assert (_exact_rows(splits.star_wedge_matrix(psi, r))
+            == _exact_rows(_star_wedge_by_operator_matrix(psi, r)))
 
 
 @settings(max_examples=40, deadline=None)
@@ -514,8 +516,8 @@ def test_star_wedge_matrix_is_the_operator_matrix_on_random_forms(case):
                        rationals, min_size=1, max_size=20))
 def test_star_wedge_matrix_of_a_rational_4_form(terms):
     psi = Multivector(8, 4, terms)
-    assert (_dense_rows(splits.star_wedge_matrix(psi, 2), 28)
-            == _dense_rows(_star_wedge_by_operator_matrix(psi, 2), 28))
+    assert (_exact_rows(splits.star_wedge_matrix(psi, 2))
+            == _exact_rows(_star_wedge_by_operator_matrix(psi, 2)))
 
 
 def _four_form_blocks_on_all_columns(phi):
@@ -649,12 +651,13 @@ def test_three_form_split_keeps_self_dual_non_admissible_forms(phi):
 # ---------------------------------------------------------------------------
 
 def _rotation_images_by_action_matrix(form):
-    """The images of form under E_ij - E_ji, i < j, as dicts of row ->
-    exact entry: the columns E_ij minus the columns E_ji of the action
+    """The images of form under E_ij - E_ji, i < j, as dicts of row mask
+    -> exact entry: the columns E_ij minus the columns E_ji of the action
     matrix."""
     n = form.dimension
     images = {i * n + j: {} for i, j in itertools.combinations(range(n), 2)}
-    for k, (entries, d) in enumerate(splits.action_matrix(form)):
+    for k, (entries, d) in zip(splits.monomial_masks(n, form.degree),
+                               splits.action_matrix(form)):
         for col, x in entries:
             i, j = divmod(col, n)
             if i != j:
@@ -690,13 +693,13 @@ def test_rotation_table_on_the_split_inputs(form):
             == _rotation_images_by_action_matrix(form))
 
 
-def test_the_star_pairs_column_j_with_column_69_minus_j():
+def test_the_star_pairs_mask_m_with_255_xor_m():
     # the premise of the half-column 4-form split and of the closed-form
-    # anti-self-dual block
-    masks = splits.monomial_masks(8, 4)
-    for j, mask in enumerate(masks):
+    # anti-self-dual block, which swap the masks with dx_8 and those
+    # without through it
+    for mask in splits.monomial_masks(8, 4):
         (starred, _), = hodge_star(Multivector(8, 4, {mask: 1})).terms.items()
-        assert starred == masks[69 - j]
+        assert starred == 255 ^ mask
 
 
 def test_rotations_commute_with_the_star_on_every_4_form_monomial():
@@ -704,17 +707,13 @@ def test_rotations_commute_with_the_star_on_every_4_form_monomial():
     # self-dual, which holds once the star of every monomial's image is
     # the image of its star.  Checked on all 70 monomials, so by
     # linearity on every 4-form
-    masks = splits.monomial_masks(8, 4)
-
-    def as_form(image):
-        return Multivector(8, 4, {masks[row]: x for row, x in image.items()})
-
-    for mask in masks:
+    for mask in splits.monomial_masks(8, 4):
         monomial = Multivector(8, 4, {mask: 1})
         images = _rotation_images_by_table(monomial)
         of_star = _rotation_images_by_table(hodge_star(monomial))
         for image, expected in zip(images, of_star):
-            assert hodge_star(as_form(image)) == as_form(expected)
+            assert (hodge_star(Multivector(8, 4, image))
+                    == Multivector(8, 4, expected))
 
 
 def _cylinder_forms_by_wedge_and_star(phi):
