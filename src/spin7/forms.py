@@ -102,11 +102,10 @@ class Multivector:
         # factor with it: a prime power dividing it exactly divides some
         # coefficient's denominator, and not that coefficient's numerator
         d = lcm(*[q for _, q in clean.values()])
-        object.__setattr__(self, "dimension", dimension)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "numerators", {
-            m: p * (d // q) for m, (p, q) in clean.items()})
-        object.__setattr__(self, "denominator", d)
+        _set_dimension(self, dimension)
+        _set_degree(self, degree)
+        _set_numerators(self, {m: p * (d // q) for m, (p, q) in clean.items()})
+        _set_denominator(self, d)
 
     @classmethod
     def _trusted(cls, dimension: int, degree: int, numerators: dict[int, int],
@@ -115,10 +114,10 @@ class Multivector:
         masks of the right range and degree, nonzero int numerators and a
         positive denominator, in lowest terms."""
         form = object.__new__(cls)
-        object.__setattr__(form, "dimension", dimension)
-        object.__setattr__(form, "degree", degree)
-        object.__setattr__(form, "numerators", numerators)
-        object.__setattr__(form, "denominator", denominator)
+        _set_dimension(form, dimension)
+        _set_degree(form, degree)
+        _set_numerators(form, numerators)
+        _set_denominator(form, denominator)
         return form
 
     @classmethod
@@ -286,6 +285,14 @@ class Multivector:
 
     def __truediv__(self, scalar: Scalar) -> "Multivector":
         return self * (Fraction(1) / Fraction(scalar))
+
+
+# the slot descriptors' setters: they fill a new form's fields past the
+# raising __setattr__
+_set_dimension = Multivector.dimension.__set__
+_set_degree = Multivector.degree.__set__
+_set_numerators = Multivector.numerators.__set__
+_set_denominator = Multivector.denominator.__set__
 
 
 # ---------------------------------------------------------------------------

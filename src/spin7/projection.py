@@ -9,10 +9,12 @@ complement of the stabilizer algebra in gl(8).
 
 This is the only module of the package that uses floating point; the
 subspace data it consumes is computed exactly in :mod:`spin7.splits` and
-converted to floats once.  It needs numpy alone: the exponentials of the
-Newton steps come from ``expm``, a Taylor series of bounded degree with
-scaling and squaring (the step generators have 1-norms far below 1/2,
-where the degree is small and no squaring is needed).
+converted to floats once.  It needs numpy alone.  The Newton steps move
+the map by the second-order retraction I + X + X^2/2 of their generator
+X, which agrees with exp(X) to second order and so leaves the fixed
+point of the iteration unchanged; ``expm``, a Taylor series of bounded
+degree with scaling and squaring, is the accurate exponential for
+callers that need one.
 """
 
 from __future__ import annotations
@@ -70,7 +72,8 @@ def _taylor_thetas(top: float) -> list[float]:
 
 _THETAS = _taylor_thetas(0.5)  # expm scales X down to a 1-norm of 1/2
 _INVERSE_FACTORIALS = [1 / math.factorial(k) for k in range(len(_THETAS) + 1)]
-_SCALED_EYES = [c * np.eye(8) for c in _INVERSE_FACTORIALS]  # I / k!
+_EYE = np.eye(8)
+_SCALED_EYES = [c * _EYE for c in _INVERSE_FACTORIALS]  # I / k!
 
 
 class ProjectionError(RuntimeError):
@@ -113,8 +116,15 @@ def apply_map(g: np.ndarray, v: np.ndarray) -> np.ndarray:
     The coordinates are scattered into the antisymmetric 8^4 tensor, each
     of its four slots is contracted with g, and the entries at increasing
     index quadruples are gathered back; the 70 x 70 matrix of minors is
-    never formed.
+    never formed.  Raises ValueError unless g is 8 x 8 and v is a length-70
+    vector or a 70 x k array.
     """
+    if np.shape(g) != (8, 8):
+        raise ValueError(f"expected an 8 x 8 map, got shape {np.shape(g)}")
+    v = np.asarray(v, dtype=float)
+    if v.ndim not in (1, 2) or v.shape[0] != 70:
+        raise ValueError("expected a length-70 vector or a 70 x k array, "
+                         f"got shape {v.shape}")
     return _push(_scatter(v), g).reshape(v.shape)
 
 
@@ -127,7 +137,10 @@ def expm(X: np.ndarray) -> np.ndarray:
     is first halved s times, to a 1-norm below 1/2, and the result is
     squared s times.  A NaN or an infinite entry gives a matrix of NaNs;
     a finite X whose exponential overflows gives a non-finite matrix.
+    Raises ValueError unless X is 8 x 8.
     """
+    if np.shape(X) != (8, 8):
+        raise ValueError(f"expected an 8 x 8 matrix, got shape {np.shape(X)}")
     norm = float(np.abs(X).sum(axis=0).max())
     if not math.isfinite(norm):
         return np.full(X.shape, np.nan)
@@ -200,21 +213,27 @@ def _newton_data() -> dict:
         "phi0": phi0_vec,
         "phi0_tensor": _scatter(phi0_vec),
         "W": W,
-        "W64": W.reshape(43, 64),
         "Q": Q,
         "R": R,
-        # the Gauss-Newton step m = -R^{-1} Q^T u, the least-squares
-        # solution of D m = -u, from two stored matrices
+        # the tangent part t = Q^T y - Q^T phi0 of y - phi0, and the
+        # generator X = sum_k m_k W_k of the Gauss-Newton step m = -R^{-1} t
+        # (the least-squares solution of D m = -(tangent part)) as
+        # (t @ S).reshape(8, 8), with S = -R^{-T} W
         "Qt": np.ascontiguousarray(Q.T),
-        "R_inv": np.linalg.inv(R),
+        "Qt_phi0": Q.T @ phi0_vec,
+        "S": -np.linalg.solve(R.T, W.reshape(43, 64)),
         "projectors": projectors,
         "off27": projectors["1"] + projectors["7"] + projectors["35"],
     }
 
 
 def type_projector(label: str) -> np.ndarray:
-    """Float orthogonal projector onto a rank block at the Cayley form."""
-    return _newton_data()["projectors"][label]
+    """Float orthogonal projector onto a rank block at the Cayley form
+    ("1", "7", "27" or "35"); raises KeyError for any other label."""
+    projectors = _newton_data()["projectors"]
+    if label not in projectors:
+        raise KeyError(f"no block labeled {label!r}")
+    return projectors[label]
 
 
 @dataclass(frozen=True)
@@ -253,17 +272,19 @@ def theta_project(chi, tolerance: float = TOLERANCE,
     """Split chi = Phi + psi with Phi admissible and psi of rank-27 type.
 
     Newton iteration with the tangent fixed at Phi0 (the chord method):
-    maintain y = (Lambda^4 H) chi and update H <- H expm(m W) by
-    exponentials of stabilizer-complement directions (``expm`` above; the
-    first step sets H = expm(m W)) until the component of y - Phi0
-    tangent to the orbit vanishes.  Each step is the least-squares
-    solution of D m = -(tangent part) for the 70 x 43 matrix D = QR of
-    orbit directions at Phi0: with t = Q^T (y - Phi0), the residual is
-    |t| and the step is m = -R^{-1} t, both from matrices stored once.
-    chi is scattered into the 8^4 tensor once; each step pushes that
-    tensor through H.  Then Phi is the image of Phi0 under H^{-1} (Phi0
-    itself when no step is taken) and psi = chi - Phi lies in the
-    rank-27 block at Phi by equivariance of the type decomposition.
+    maintain y = (Lambda^4 H) chi and update H <- H E until the component
+    of y - Phi0 tangent to the orbit vanishes.  Each step is the
+    least-squares solution m of D m = -(tangent part) for the 70 x 43
+    matrix D = QR of orbit directions at Phi0: with t = Q^T y - Q^T Phi0,
+    the residual is |t| and m = -R^{-1} t, whose generator X = sum m_k W_k
+    in the stabilizer complement is t @ S for the stored S = -R^{-T} W.
+    E = I + X + X^2/2 is the second-order retraction of X (the first step
+    sets H = E): it agrees with exp(X) to second order, so the iteration
+    keeps the fixed point it has with the exact exponential.  chi is
+    scattered into the 8^4 tensor once; each step pushes that tensor
+    through H.  Then Phi is the image of Phi0 under H^{-1} (Phi0 itself
+    when no step is taken) and psi = chi - Phi lies in the rank-27 block
+    at Phi by equivariance of the type decomposition.
 
     Raises ValueError for a tolerance that is not positive and finite,
     a negative max_iterations or a non-finite chi, and ProjectionError
@@ -279,9 +300,10 @@ def theta_project(chi, tolerance: float = TOLERANCE,
     if not np.isfinite(chi_vec).all():
         raise ValueError("chi has a non-finite coordinate")
     data = _newton_data()
-    phi0, Qt, R_inv, W64 = data["phi0"], data["Qt"], data["R_inv"], data["W64"]
+    phi0, Qt, Qt_phi0, S = (data["phi0"], data["Qt"], data["Qt_phi0"],
+                            data["S"])
 
-    t = Qt @ (chi_vec - phi0)
+    t = Qt @ (chi_vec - phi0)  # no cancellation for chi near phi0
     residuals = [math.sqrt(t @ t)]
     if residuals[0] <= tolerance:
         phi, H = phi0.copy(), np.eye(8)  # no step: Phi is Phi0 itself
@@ -301,10 +323,14 @@ def theta_project(chi, tolerance: float = TOLERANCE,
                     f"{tolerance:.3e}); the input is outside the reachable "
                     "neighbourhood of the orbit, or the tolerance is below "
                     "the rounding floor")
-            m = -(R_inv @ t)
-            E = expm((m @ W64).reshape(8, 8))
+            X = (t @ S).reshape(8, 8)
+            E = X @ X  # the retraction E = I + X + X^2/2
+            E *= 0.5
+            E += X
+            E += _EYE
             H = E if iterations == 0 else H @ E
-            t = Qt @ (_push(chi_tensor, H).ravel() - phi0)
+            t = Qt @ _push(chi_tensor, H).ravel()
+            t -= Qt_phi0
             residuals.append(math.sqrt(t @ t))
         phi = _push(data["phi0_tensor"], np.linalg.inv(H)).ravel()
 

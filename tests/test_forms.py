@@ -246,9 +246,16 @@ def test_mixed_dimension_or_degree_rejected():
 
 
 def test_immutability():
-    a = cayley_form()
-    with pytest.raises(AttributeError):
-        a.degree = 3
+    # the public constructor and the trusted one (behind wedge) fill the
+    # slots past __setattr__, which still refuses every assignment
+    e1, e2 = Multivector.monomial(4, [1]), Multivector.monomial(4, [2])
+    for a in (Multivector(4, 2, {3: Fraction(1, 2)}), cayley_form(),
+              wedge(e1, e2)):
+        for field in Multivector.__slots__:
+            before = getattr(a, field)
+            with pytest.raises(AttributeError, match="immutable"):
+                setattr(a, field, 3)
+            assert getattr(a, field) == before
 
 
 class _Tagged(Fraction):

@@ -1,5 +1,6 @@
 """Floating-point Newton projection onto the admissible orbit."""
 
+import itertools
 import math
 import os
 import pathlib
@@ -9,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from scipy.linalg import expm, solve_triangular
 
 from spin7 import projection, splits
 from spin7.forms import cayley_form
@@ -75,6 +76,12 @@ def test_fourth_exterior_power_is_the_matrix_of_minors():
                               _minors(g))
     assert np.array_equal(projection.fourth_exterior_power(np.eye(8)),
                           np.eye(70))
+
+
+def test_apply_map_takes_sequences_as_arrays():
+    g = np.random.default_rng(RNG_SEED).standard_normal((8, 8))
+    assert np.array_equal(projection.apply_map(g.tolist(), list(PHI0)),
+                          projection.apply_map(g, PHI0))
 
 
 def test_apply_map_acts_on_columns():
@@ -176,7 +183,8 @@ def _seeded_inputs():
 
 def test_each_step_is_the_least_squares_gauss_newton_step():
     # replay the iteration one step at a time: stopping at the k-th
-    # residual returns the gauge H_k after exactly k steps
+    # residual returns the gauge H_k = H_{k-1} (I + X + X^2/2) after
+    # exactly k steps, X = sum_j m_j W_j for the least-squares step m
     data = projection._newton_data()
     Q, R, W = data["Q"], data["R"], data["W"]
     P_tan = Q @ Q.T
@@ -185,15 +193,59 @@ def test_each_step_is_the_least_squares_gauss_newton_step():
         assert out.iterations >= 2
         H = np.eye(8)
         for k in range(1, out.iterations + 1):
-            u = projection.apply_map(H, chi) - PHI0
-            m_ref = np.linalg.lstsq(Q @ R, -P_tan @ u, rcond=None)[0]
-            m = -data["R_inv"] @ (data["Qt"] @ u)
-            assert np.abs(m - m_ref).max() <= 1e-12
+            y = projection.apply_map(H, chi)
+            m_ref = np.linalg.lstsq(Q @ R, -P_tan @ (y - PHI0), rcond=None)[0]
+            X = np.tensordot(m_ref, W, 1)
+            t = data["Qt"] @ y - data["Qt_phi0"]
+            assert np.abs((t @ data["S"]).reshape(8, 8) - X).max() <= 1e-12
             step = projection.theta_project(chi, tolerance=out.residuals[k])
             assert step.iterations == k
-            assert np.abs(step.gauge - H @ expm(np.tensordot(m_ref, W, 1))
+            assert np.abs(step.gauge - H @ (np.eye(8) + X + X @ X / 2)
                           ).max() <= 1e-12
             H = step.gauge
+
+
+def _chord_with_expm(chi):
+    """The chord iteration of ``theta_project`` with the exact exponential,
+    H <- H expm(X), returning (phi, iterations)."""
+    data = projection._newton_data()
+    Q, R, W = data["Q"], data["R"], data["W"]
+    H = np.eye(8)
+    for iterations in range(projection.MAX_ITERATIONS + 1):
+        t = Q.T @ (projection.apply_map(H, chi) - PHI0)
+        if np.linalg.norm(t) <= projection.TOLERANCE:
+            return projection.apply_map(np.linalg.inv(H), PHI0), iterations
+        H = H @ expm(np.tensordot(-solve_triangular(R, t), W, 1))
+    raise AssertionError("the exponential chord iteration did not converge")
+
+
+def _wider_inputs(count=60):
+    """Seeded perturbations up to eps = 0.3, gauge-moved by up to |A| = 1."""
+    rng = np.random.default_rng(RNG_SEED)
+    pr27 = projection.type_projector("27")
+    for k in range(count):
+        eps = rng.uniform(0, 0.3)
+        if k % 3 == 0:
+            eta = rng.standard_normal(70)
+            yield PHI0 + eps * eta / np.linalg.norm(eta)
+            continue
+        xi = pr27 @ rng.standard_normal(70)
+        chi = PHI0 + eps * xi / np.linalg.norm(xi)
+        if k % 3 == 2:
+            a = rng.standard_normal((8, 8))
+            chi = projection.apply_map(
+                expm(rng.uniform(0, 1) * a / np.linalg.norm(a)), chi)
+        yield chi
+
+
+def test_the_retraction_reaches_the_fixed_point_of_the_exponential_chord():
+    # a second-order retraction leaves the fixed point of the chord
+    # iteration where the exact exponential puts it
+    for chi in itertools.chain(_seeded_inputs(), _wider_inputs()):
+        phi, iterations = _chord_with_expm(chi)
+        out = projection.theta_project(chi)
+        assert np.abs(out.phi - phi).max() <= 1e-9
+        assert abs(out.iterations - iterations) <= 1
 
 
 def test_every_residual_is_the_tangential_norm():
@@ -275,6 +327,26 @@ def test_bad_shape_rejected():
         projection.theta_project(np.zeros(3))
 
 
+def test_type_projector_names_an_unknown_label():
+    with pytest.raises(KeyError, match="no block labeled '28'"):
+        projection.type_projector("28")
+
+
+@pytest.mark.parametrize("g,v,expected", [
+    (np.eye(7), np.zeros(70), "8 x 8 map, got shape \\(7, 7\\)"),
+    (np.eye(8), np.zeros(69), "70 x k array, got shape \\(69,\\)"),
+    (np.eye(8), np.zeros((70, 2, 2)), "70 x k array, got shape"),
+])
+def test_apply_map_names_the_expected_shapes(g, v, expected):
+    with pytest.raises(ValueError, match=expected):
+        projection.apply_map(g, v)
+
+
+def test_expm_names_the_expected_shape():
+    with pytest.raises(ValueError, match="8 x 8 matrix, got shape \\(3, 3\\)"):
+        projection.expm(np.eye(3))
+
+
 def _generators(norm, count=20):
     """Seeded random 8 x 8 matrices scaled to the given 1-norm."""
     rng = np.random.default_rng(RNG_SEED)
@@ -324,19 +396,6 @@ def test_expm_of_a_nilpotent_generator_with_a_huge_entry_is_exact():
     X = np.zeros((8, 8))
     X[2, 3] = 1e300
     assert np.array_equal(projection.expm(X), np.eye(8) + X)
-
-
-def test_theta_project_calls_the_module_level_expm(monkeypatch):
-    calls = []
-
-    def counted(X):
-        calls.append(X)
-        return expm(X)
-
-    monkeypatch.setattr(projection, "expm", counted)
-    out = projection.theta_project(next(_seeded_inputs()))
-    assert out.iterations >= 2
-    assert len(calls) == out.iterations
 
 
 def test_scatter_of_a_vector_is_the_scatter_of_its_column():
