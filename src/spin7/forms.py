@@ -13,8 +13,9 @@ coefficients as ints.
 
 Every sign derives from one primitive, ``merge_sign``.  The Hodge star
 reads its signs from a table of merge_signs per mask, built on first
-use for each n, and the contraction with dx_k uses merge_sign's closed
-form for one bit: the parity of the bits of the monomial below k.
+use for each n, the contraction with dx_k uses merge_sign's closed form
+for one bit, the parity of the bits of the monomial below k, and the
+contraction with a vector is the linear combination of those.
 
 The monomial basis dx_I (I a strictly increasing index tuple) is
 orthonormal, and the orientation is fixed by declaring dx_1 ^ ... ^ dx_n
@@ -241,20 +242,12 @@ class Multivector:
             raise ValueError("dimension mismatch")
         if self.degree != other.degree:
             raise ValueError("cannot add forms of different degree")
-        da, db = self.denominator, other.denominator
-        if da == db:
-            acc = dict(self.numerators)
-            for m, x in other.numerators.items():
-                prev = acc.get(m)
-                acc[m] = x if prev is None else prev + x
-            d = da
-        else:
-            d = lcm(da, db)
-            sa, sb = d // da, d // db
-            acc = {m: x * sa for m, x in self.numerators.items()}
-            for m, x in other.numerators.items():
-                prev = acc.get(m)
-                acc[m] = x * sb if prev is None else prev + x * sb
+        d = lcm(self.denominator, other.denominator)
+        sa, sb = d // self.denominator, d // other.denominator
+        acc = {m: x * sa for m, x in self.numerators.items()}
+        for m, x in other.numerators.items():
+            prev = acc.get(m)
+            acc[m] = x * sb if prev is None else prev + x * sb
         return Multivector._reduced(self.dimension, self.degree,
                                     {m: x for m, x in acc.items() if x}, d)
 
@@ -348,9 +341,10 @@ def contract(v, a: Multivector) -> Multivector:
     """Interior product v -| a.
 
     ``v`` is a 1-based basis index or a sequence of rational components.
-    The sign of dx_k -| dx_m is merge_sign(dx_k, dx_{m - k}); for a basis
-    index it is read in closed form, as the parity of the bits of m below
-    k.
+    The sign of dx_k -| dx_m is merge_sign(dx_k, dx_{m - k}), read in
+    closed form as the parity of the bits of m below k.  A vector
+    contracts as the linear combination sum_k v_k (dx_k -| a) over its
+    nonzero components.
     """
     if a.degree == 0:
         raise ValueError("cannot contract a 0-form")
@@ -367,20 +361,11 @@ def contract(v, a: Multivector) -> Multivector:
             for m, x in a.numerators.items() if m & bit}, a.denominator)
     if len(v) != n:
         raise ValueError("vector length must equal the dimension")
-    components = [(k, Fraction(c)) for k, c in enumerate(v, 1) if c]
-    q = lcm(*[c.denominator for _, c in components])
-    acc: dict[int, int] = {}
-    for m, x in a.numerators.items():
-        for k, c in components:
-            bit = 1 << (k - 1)
-            if not m & bit:
-                continue
-            m2 = m ^ bit
-            y = merge_sign(bit, m2) * c.numerator * (q // c.denominator) * x
-            acc[m2] = acc.get(m2, 0) + y
-    return Multivector._reduced(n, a.degree - 1,
-                                {m: x for m, x in acc.items() if x},
-                                a.denominator * q)
+    total = Multivector.zero(n, a.degree - 1)
+    for k, c in enumerate(v, 1):
+        if c:
+            total = total + Fraction(c) * contract(k, a)
+    return total
 
 
 def inner(a: Multivector, b: Multivector) -> Fraction:
@@ -535,9 +520,14 @@ def parse_form(text: str, dimension: int,
         m = _TERM_RE.match(stripped, pos)
         if not m:
             raise ValueError(f"bad form literal near: {stripped[pos:pos+30]!r}")
-        coeff = Fraction(m.group(1).replace(" ", ""))
         idx_text = m.group(2).strip()
-        indices = tuple(int(t) for t in idx_text.split(",")) if idx_text else ()
+        try:  # a zero denominator or an empty index between commas
+            coeff = Fraction(m.group(1).replace(" ", ""))
+            indices = (tuple(int(t) for t in idx_text.split(","))
+                       if idx_text else ())
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(
+                f"bad form literal term: {m.group(0).strip()!r}") from None
         if list(indices) != sorted(set(indices)):
             raise ValueError("indices must be strictly increasing")
         if seen_degree is None:

@@ -38,8 +38,9 @@ much earlier on dense rational input, whose reduced form needs far fewer
 bits than the Hadamard bound allows.
 
 ``rref``, ``rank``, ``nullspace`` and ``solve`` are dense adapters over the
-same kernel, on lists of ``int`` or ``Fraction`` entries.  In every dense
-result a nonzero entry is a ``Fraction`` and a zero is the int ``0``.
+same kernel, on lists of ``int`` or ``Fraction`` entries; ``solve`` reads
+the kernel of [A | -b].  In every dense result a nonzero entry is a
+``Fraction`` and a zero is the int ``0``.
 """
 
 from __future__ import annotations
@@ -229,21 +230,19 @@ def nullspace(matrix: Matrix) -> list[Vector]:
 
 
 def solve(matrix: Matrix, rhs: Vector) -> Vector | None:
-    """One exact solution of A x = b, or None if inconsistent.  The empty
-    matrix is the system of no equations in no unknowns, solved by []."""
+    """One exact solution of A x = b, or None if inconsistent: the
+    kernel vector of [A | -b] that is free at the augmented column is
+    (x, 1), with x zero at the other free columns.  The empty matrix is
+    the system of no equations in no unknowns, solved by []."""
     if len(rhs) != len(matrix):
         raise ValueError(
             f"right-hand side has {len(rhs)} entries for {len(matrix)} rows")
     if not matrix:
         return []
-    rows, width = _rows([r + [b] for r, b in zip(matrix, rhs)])
-    ncols = width - 1
-    reduced, pivots = echelon(rows)
-    if ncols in pivots:
-        return None  # pivot in the augmented column
-    x: Vector = [0] * ncols
-    for (entries, d), col in zip(reduced, pivots):
-        j, b = entries[-1]  # the augmented column is the last
-        if j == ncols:
-            x[col] = Fraction(b, d)
-    return x
+    rows, width = _rows([r + [-b] for r, b in zip(matrix, rhs)])
+    basis = kernel(rows, range(width))
+    # each kernel vector ends at its free column; a pivot in the
+    # augmented column leaves none free there
+    if not basis or basis[-1][0][-1][0] != width - 1:
+        return None
+    return dense(basis[-1], width)[:-1]

@@ -12,18 +12,16 @@ subspace data it consumes is computed exactly in :mod:`spin7.splits` and
 converted to floats once.  It needs numpy alone.  The Newton steps move
 the map by the second-order retraction I + X + X^2/2 of their generator
 X, which agrees with exp(X) to second order and so leaves the fixed
-point of the iteration unchanged; ``expm``, a Taylor series of bounded
-degree with scaling and squaring, is the accurate exponential for
+point of the iteration unchanged; ``expm``, the Taylor polynomial of
+degree 14 with scaling and squaring, is the accurate exponential for
 callers that need one.
 """
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -50,30 +48,10 @@ _SCATTER_SOURCE = np.repeat(np.arange(len(_QUADS)), len(_PERMS))
 _GATHER_FLAT = _FLAT[:, 0]
 
 
-def _taylor_thetas(top: float) -> list[float]:
-    """theta_m for m = 1, 2, ...: the largest x with x^(m+1)/(m+1)! e^x
-    <= 2^-53, a bound on the truncation error of the degree-m Taylor
-    polynomial of exp at a matrix of 1-norm x, relative to exp(x).  The
-    list stops at the first theta_m >= top."""
-    log_unit = -53 * math.log(2)
-    thetas: list[float] = []
-    while not thetas or thetas[-1] < top:
-        m = len(thetas) + 1
-        lo, hi = 0.0, 1.0  # the bound exceeds 2^-53 at x = 1 for m < 17
-        for _ in range(60):
-            mid = (lo + hi) / 2
-            if (m + 1) * math.log(mid) - math.lgamma(m + 2) + mid <= log_unit:
-                lo = mid
-            else:
-                hi = mid
-        thetas.append(lo)
-    return thetas
-
-
-_THETAS = _taylor_thetas(0.5)  # expm scales X down to a 1-norm of 1/2
-_INVERSE_FACTORIALS = [1 / math.factorial(k) for k in range(len(_THETAS) + 1)]
+# the least Taylor degree m of exp with (1/2)^(m+1)/(m+1)! e^(1/2) <= 2^-53:
+# at a 1-norm of at most 1/2 it bounds the truncation error relative to exp
+_TAYLOR_DEGREE = 14
 _EYE = np.eye(8)
-_SCALED_EYES = [c * _EYE for c in _INVERSE_FACTORIALS]  # I / k!
 
 
 class ProjectionError(RuntimeError):
@@ -90,14 +68,6 @@ def form_to_array(a: Multivector) -> np.ndarray:
     for mask, x in a.numerators.items():
         out[_MASK_INDEX[mask]] = x / d  # int division rounds correctly
     return out
-
-
-def array_to_form(v: np.ndarray) -> Multivector:
-    """Inverse of :func:`form_to_array` (coefficients become exact floats)."""
-    if np.shape(v) != (70,):
-        raise ValueError("expected a length-70 vector")
-    terms = {m: Fraction(float(c)) for m, c in zip(_MASKS, v) if c}
-    return Multivector(8, 4, terms)
 
 
 def fourth_exterior_power(g: np.ndarray) -> np.ndarray:
@@ -131,13 +101,13 @@ def apply_map(g: np.ndarray, v: np.ndarray) -> np.ndarray:
 def expm(X: np.ndarray) -> np.ndarray:
     """The matrix exponential of an 8 x 8 matrix, by its Taylor series.
 
-    The degree is the least m with theta_m >= |X|_1 (``_THETAS``), so the
-    truncation error is at most 2^-53 exp(|X|_1), and the polynomial
-    sum_k X^k / k! is evaluated by Horner's rule.  Above |X|_1 = 1/2, X
-    is first halved s times, to a 1-norm below 1/2, and the result is
-    squared s times.  A NaN or an infinite entry gives a matrix of NaNs;
-    a finite X whose exponential overflows gives a non-finite matrix.
-    Raises ValueError unless X is 8 x 8.
+    Above |X|_1 = 1/2, X is first halved s times, to a 1-norm below 1/2,
+    and the result is squared s times.  At that scale the Taylor
+    polynomial of degree 14 (``_TAYLOR_DEGREE``) has a truncation error
+    of at most 2^-53 exp(|X|_1), and it is evaluated by Horner's rule as
+    I + X (I + X/2 (... (I + X/14))).  A NaN or an infinite entry gives a
+    matrix of NaNs; a finite X whose exponential overflows gives a
+    non-finite matrix.  Raises ValueError unless X is 8 x 8.
     """
     if np.shape(X) != (8, 8):
         raise ValueError(f"expected an 8 x 8 matrix, got shape {np.shape(X)}")
@@ -147,13 +117,12 @@ def expm(X: np.ndarray) -> np.ndarray:
     s = math.frexp(norm)[1] + 1 if norm > 0.5 else 0
     if s:  # scale by 2^-s, to a 1-norm in [1/4, 1/2)
         X = np.ldexp(X, -s)
-        norm = math.ldexp(norm, -s)
-    m = bisect.bisect_left(_THETAS, norm) + 1
-    P = X * _INVERSE_FACTORIALS[m]
-    P += _SCALED_EYES[m - 1]
-    for k in range(m - 2, -1, -1):
+    P = X / _TAYLOR_DEGREE
+    P += _EYE
+    for k in range(_TAYLOR_DEGREE - 1, 0, -1):
         P = X @ P
-        P += _SCALED_EYES[k]
+        P /= k
+        P += _EYE
     for _ in range(s):
         P = P @ P
     return P

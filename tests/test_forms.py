@@ -1,6 +1,7 @@
 """Exact multivector arithmetic and the distinguished forms."""
 
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -392,6 +393,20 @@ def test_parse_form_rejects_a_blank_literal(text, degree):
     # the grammar is "0" | term+: a blank literal is not the zero form
     with pytest.raises(ValueError, match="bad form literal"):
         parse_form(text, 8, degree)
+
+
+@pytest.mark.parametrize("text, term", [
+    ("1/0 dx[1]", "1/0 dx[1]"),
+    ("+1 dx[1,,2]", "+1 dx[1,,2]"),
+    ("+1 dx[1,]", "+1 dx[1,]"),
+    ("+1 dx[1,2] -1/0 dx[1,3]", "-1/0 dx[1,3]"),
+])
+def test_parse_form_names_a_malformed_term(text, term):
+    # a zero denominator or an empty index is a bad literal, not an
+    # arithmetic or int() error
+    with pytest.raises(ValueError, match=re.escape(
+            f"bad form literal term: {term!r}")):
+        parse_form(text, 3)
 
 
 # ---------------------------------------------------------------------------

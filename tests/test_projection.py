@@ -13,7 +13,7 @@ import pytest
 from scipy.linalg import expm, solve_triangular
 
 from spin7 import projection, splits
-from spin7.forms import cayley_form
+from spin7.forms import Multivector, cayley_form
 
 PHI0 = projection.form_to_array(cayley_form())
 RNG_SEED = 20260823
@@ -21,17 +21,16 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def test_form_array_round_trip():
-    assert projection.array_to_form(PHI0) == cayley_form()
-    v = np.zeros(70)
-    v[0] = 1.5
-    assert projection.form_to_array(projection.array_to_form(v)) == \
-        pytest.approx(v)
-
-
-@pytest.mark.parametrize("shape", [(3,), (80,), (70, 1), (7, 10)])
-def test_array_to_form_rejects_other_shapes(shape):
-    with pytest.raises(ValueError, match="length-70"):
-        projection.array_to_form(np.ones(shape))
+    # coordinates follow the monomial basis in increasing mask order
+    masks = splits.monomial_masks(8, 4)
+    expected = np.zeros(70)
+    for m, x in cayley_form().numerators.items():
+        expected[masks.index(m)] = x
+    assert np.count_nonzero(expected) == 14 and set(expected) == {-1, 0, 1}
+    assert np.array_equal(PHI0, expected)
+    mask = 0b10110001  # dx_1 ^ dx_5 ^ dx_6 ^ dx_8
+    v = projection.form_to_array(Multivector(8, 4, {mask: Fraction(-3, 2)}))
+    assert v[masks.index(mask)] == -1.5 and np.count_nonzero(v) == 1
 
 
 def test_fourth_exterior_power_functoriality():
@@ -429,13 +428,9 @@ def test_projection_and_newton_probes_import_no_scipy():
     assert result.returncode == 0, result.stderr
 
 
-def test_taylor_degree_table_meets_the_remainder_bound():
-    def log_bound(m, x):  # log of x^(m+1)/(m+1)! e^x
-        return (m + 1) * np.log(x) - math.lgamma(m + 2) + x
+def test_taylor_degree_is_the_least_that_meets_the_remainder_bound():
+    def log_bound(m):  # log of (1/2)^(m+1)/(m+1)! e^(1/2)
+        return (m + 1) * math.log(0.5) - math.lgamma(m + 2) + 0.5
 
-    thetas = projection._THETAS
-    assert thetas == sorted(thetas)
-    assert thetas[-2] < 0.5 <= thetas[-1]
-    for m, theta in enumerate(thetas, start=1):
-        assert log_bound(m, theta) <= -53 * np.log(2) < log_bound(
-            m, theta * (1 + 1e-9))
+    m = projection._TAYLOR_DEGREE
+    assert log_bound(m) <= -53 * math.log(2) < log_bound(m - 1)
