@@ -30,7 +30,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from numbers import Rational
+from numbers import Integral, Rational
 from typing import Iterable, Mapping, Sequence, Union
 
 MAX_DIMENSION = 9
@@ -340,7 +340,8 @@ def hodge_star(a: Multivector) -> Multivector:
 def contract(v, a: Multivector) -> Multivector:
     """Interior product v -| a.
 
-    ``v`` is a 1-based basis index or a sequence of rational components.
+    ``v`` is a 1-based basis index, any ``Integral`` but a ``bool``, or
+    a sequence of rational components.
     The sign of dx_k -| dx_m is merge_sign(dx_k, dx_{m - k}), read in
     closed form as the parity of the bits of m below k.  A vector
     contracts as the linear combination sum_k v_k (dx_k -| a) over its
@@ -349,7 +350,10 @@ def contract(v, a: Multivector) -> Multivector:
     if a.degree == 0:
         raise ValueError("cannot contract a 0-form")
     n = a.dimension
-    if isinstance(v, int):
+    if isinstance(v, bool):
+        raise TypeError(f"basis index {v!r} is a bool, not an int")
+    if isinstance(v, Integral):
+        v = int(v)
         if not 1 <= v <= n:
             raise ValueError(f"basis index {v} out of range 1..{n}")
         # each term with dx_v goes to its own monomial, so none cancel;
@@ -509,6 +513,8 @@ def parse_form(text: str, dimension: int,
     stripped = text.strip()
     if not stripped:
         raise ValueError("bad form literal: it is blank")
+    if degree is not None and not 0 <= degree <= dimension:
+        raise ValueError(f"degree {degree} out of range 0..{dimension}")
     if stripped == "0":
         if degree is None:
             raise ValueError("degree required to parse the zero form")
@@ -533,6 +539,10 @@ def parse_form(text: str, dimension: int,
         if seen_degree is None:
             seen_degree = len(indices)
         elif len(indices) != seen_degree:
+            if degree is not None:
+                raise ValueError(
+                    f"term {m.group(0).strip()!r} has degree {len(indices)},"
+                    f" not the stated degree {degree}")
             raise ValueError("mixed degrees in form literal")
         mask = _mask_of(indices, dimension)
         acc[mask] = acc.get(mask, Fraction(0)) + coeff

@@ -8,34 +8,29 @@ increasing order and share one positive denominator.  A column is any
 nonnegative int key: the splits key the coefficient of dx_m by the
 bitmask m, so the 70 columns of 4-forms on R^8 are the masks of four bits
 below 256, and ``kernel`` is told which keys are columns.  ``echelon`` is
-the one elimination kernel; it eliminates modulo a prime and certifies the
-result in exact integers:
+the one elimination kernel, a fraction-free Gauss-Jordan elimination over
+the integers that keeps every row primitive (on fraction-free elimination:
+Bareiss, Math. Comp. 22, 1968; von zur Gathen and Gerhard, *Modern
+Computer Algebra*, ch. 5):
 
 1. a row and its numerators span the same line, so denominators play no
    part in the elimination;
-2. Gauss-Jordan elimination modulo p = 2^30 - 35, the largest prime
-   below 2^30, takes the rows one at a time into a reduced basis of
-   sparse rows, keyed by pivot column; every residue is then a single
-   30-bit CPython digit, the fast path of int arithmetic;
-3. each nonzero residue of the reduced rows is lifted to the fraction n/d
-   with |n|, d <= sqrt(p/2) that it represents, by Wang's rational
-   reconstruction (Wang 1981; Monagan, ISSAC 2004);
-4. the lifted rows R are accepted only if ``D a == sum_k a[pivot_k] S_k``
-   holds in integers for every input row a, where D is the lcm of the
-   lifted denominators and S = D R.  As S[i][pivot_k] = D if i = k and 0
-   otherwise, it holds at the pivot columns by construction, and only the
-   free columns are compared.
+2. the rows are taken one at a time into a reduced basis, keyed by pivot
+   column.  A basis row is its positive pivot value p and an int at each
+   of its free columns, and it holds zero at every other pivot column;
+3. an incoming row is multiplied by the least L that makes L f / p an
+   int at each pivot column it hits, with entry f there, and the (L f / p)
+   multiple of each hit basis row is subtracted.  As basis rows hold no
+   pivot column, this adds only free columns;
+4. a nonzero remainder is divided by its content and signed to a positive
+   pivot at its least column.  Each basis row that holds that column is
+   cross-multiplied to clear it and made primitive again.
 
-The rank modulo p is at most the rank over Q, and the identity puts every
-input row in the span of R's rows, so R is *the* reduced row echelon form,
-whatever the prime.  If a lift or the identity fails, the same elimination
-runs again modulo the Mersenne prime 2^61 - 1, then modulo Mersenne primes
-of about twice as many bits each, up to the first one above 2 H^2, H the
-Hadamard bound of the integer rows.  Modulo that prime every minor is
-nonzero exactly when it is nonzero, and every entry of the reduced form is
-a ratio of two minors, so that run cannot fail.  The doubling steps stop
-much earlier on dense rational input, whose reduced form needs far fewer
-bits than the Hadamard bound allows.
+A basis row is zero left of its pivot, so the basis is the reduced row
+echelon form R up to the pivot values, exactly, with nothing to lift or
+check.  A primitive row over its pivot value p is a reduced row whose
+entries have least common denominator p, so the least shared denominator
+D of R is the lcm of the pivot values, and S = D R is an int matrix.
 
 ``rref``, ``rank``, ``nullspace`` and ``solve`` are dense adapters over the
 same kernel, on lists of ``int`` or ``Fraction`` entries; ``solve`` reads
@@ -47,23 +42,13 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from fractions import Fraction
-from itertools import chain
-from math import gcd, isqrt, lcm, prod
+from math import gcd, lcm
 
 # (column, nonzero numerator) pairs and one positive denominator
 Row = tuple[list[tuple[int, int]], int]
 # dense entries are int or Fraction; zeros in results are the int 0
 Matrix = list[list[int | Fraction]]
 Vector = list[int | Fraction]
-
-# the first prime: the largest below 2^30, so a residue is one CPython digit
-_FIRST_PRIME = (1 << 30) - 35
-# exponents e of the Mersenne primes 2^e - 1 tried after it, each about
-# twice the one before
-_MERSENNE_EXPONENTS = (
-    61, 127, 521, 1279, 2203, 4423, 9689, 19937, 44497, 86243, 216091,
-    756839, 1398269, 2976221, 6972593, 13466917, 24036583, 57885161,
-    136279841)
 
 
 def row(entries) -> Row:
@@ -73,100 +58,60 @@ def row(entries) -> Row:
     return [(j, x.numerator * (d // x.denominator)) for j, x in entries], d
 
 
-def _eliminate(rows: list[Row], p: int) -> dict[int, dict[int, int]]:
-    """The reduced rows modulo the prime p, by pivot column.  The pivot
-    entry 1 is left out, so each row maps free columns to residues."""
-    basis: dict[int, dict[int, int]] = {}
+def _primitive(p: int, r: dict[int, int]) -> tuple[int, dict[int, int]]:
+    """The row of pivot value p and free entries r over its content,
+    signed to a positive pivot."""
+    c = gcd(p, *r.values()) if p > 0 else -gcd(p, *r.values())
+    if c == 1:
+        return p, r
+    return p // c, {j: x // c for j, x in r.items()}
+
+
+def _reduce(rows: list[Row]
+            ) -> tuple[list[int], list[list[tuple[int, int]]], int]:
+    """The pivot columns, the free part of S = D R for each reduced row R
+    (its columns in no particular order) and D."""
+    # pivot column -> (pivot value, free column -> int), each primitive
+    basis: dict[int, tuple[int, dict[int, int]]] = {}
     for entries, _ in rows:
-        r = {j: x % p for j, x in entries}
-        # basis rows hold no pivot column: reducing r at one pivot column
-        # adds no other
-        for col in [j for j in r if j in basis]:
-            f = r.pop(col)
-            for j, x in basis[col].items():
-                r[j] = (r.get(j, 0) - f * x) % p
-        r = {j: x for j, x in r.items() if x}
+        r = {}
+        hits = []
+        for j, x in entries:
+            b = basis.get(j)
+            if b is None:
+                r[j] = x
+            else:
+                hits.append((b, x))
+        if hits:
+            scale = lcm(*[p // gcd(p, f) for (p, _), f in hits])
+            if scale != 1:
+                r = {j: scale * x for j, x in r.items()}
+            for (p, b), f in hits:
+                m = scale * f // p
+                for j, x in b.items():
+                    r[j] = r.get(j, 0) - m * x
+            r = {j: x for j, x in r.items() if x}
         if not r:
             continue
         col = min(r)
-        inv = pow(r.pop(col), -1, p)
-        r = {j: x * inv % p for j, x in r.items()}
-        for b in basis.values():
+        p = r.pop(col)
+        p, r = _primitive(p, r)
+        for k, (q, b) in basis.items():
             f = b.pop(col, 0)
             if f:
+                g = gcd(p, f)
+                u, v = p // g, f // g
+                if u != 1:
+                    b = {j: u * x for j, x in b.items()}
                 for j, x in r.items():
-                    b[j] = (b.get(j, 0) - f * x) % p
-        basis[col] = r
-    return basis
-
-
-def _lift(u: int, p: int, bound: int) -> tuple[int, int] | None:
-    """(n, d) with |n|, d <= bound, d > 0, gcd(n, d) = 1 and n = u d mod p
-    (Wang's rational reconstruction), or None if there is none."""
-    r0, r1, s0, s1 = p, u, 0, 1
-    while r1 > bound:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        s0, s1 = s1, s0 - q * s1
-    if abs(s1) > bound or gcd(r1, s1) != 1:
-        return None
-    return (r1, s1) if s1 > 0 else (-r1, -s1)
-
-
-def _certified(rows: list[Row], p: int
-               ) -> tuple[list[int], list[list[tuple[int, int]]], int] | None:
-    """The pivot columns, the free part of S = D R for each reduced row R
-    (its columns in no particular order) and D, if the elimination modulo
-    p lifts to a certified result; otherwise None."""
-    basis = _eliminate(rows, p)
+                    b[j] = b.get(j, 0) - v * x
+                basis[k] = _primitive(u * q, b)
+        basis[col] = p, r
     pivots = sorted(basis)
-    bound = isqrt((p - 1) // 2)
-    # few distinct residues occur
-    lifted = {u: _lift(u, p, bound)
-              for u in {u for r in basis.values() for u in r.values() if u}}
-    if None in lifted.values():
-        return None
-    scale = lcm(*[d for _, d in lifted.values()])
-    scaled = {u: n * (scale // d) for u, (n, d) in lifted.items()}
-    free = [[(j, scaled[u]) for j, u in basis[col].items() if u]
-            for col in pivots]
-    # the certificate D a == sum_k a[pivot_k] S_k at the free columns
-    by_pivot = dict(zip(pivots, free))
-    for entries, _ in rows:
-        combination: dict[int, int] = {}
-        expected = {}
-        for col, x in entries:
-            pairs = by_pivot.get(col)
-            if pairs is None:
-                expected[col] = scale * x
-            else:
-                for j, s in pairs:
-                    combination[j] = combination.get(j, 0) + x * s
-        # expected holds no zero, so each entry must be met exactly once
-        for j, v in combination.items():
-            if v != expected.pop(j, 0):
-                return None
-        if expected:
-            return None
-    return pivots, free, scale
-
-
-def _reduce(rows: list[Row]):
-    """``_certified`` modulo 2^30 - 35, then modulo Mersenne primes of
-    about doubling size from 2^61 - 1 up to the first above 2 H^2, where
-    it cannot fail."""
-    bound = None
-    for p in chain((_FIRST_PRIME,),
-                   ((1 << e) - 1 for e in _MERSENNE_EXPONENTS)):
-        result = _certified(rows, p)
-        if result is not None:
-            return result
-        bound = bound or 2 * prod(sum(x * x for _, x in entries)
-                                  for entries, _ in rows if entries)
-        if p > bound:
-            break
-    raise OverflowError(
-        "entries too large: no listed Mersenne prime exceeds 2 H^2")
+    scale = lcm(*[p for p, _ in basis.values()])
+    # a cancellation in a basis row leaves a zero there
+    return pivots, [[(j, scale // p * x) for j, x in b.items() if x]
+                    for p, b in (basis[col] for col in pivots)], scale
 
 
 def echelon(rows: list[Row]) -> tuple[list[Row], list[int]]:

@@ -4,6 +4,7 @@ import math
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -233,6 +234,19 @@ def test_contract_rejects_a_basis_index_out_of_range(index):
         contract(index, cayley_form())
 
 
+@pytest.mark.parametrize("index", [np.int64(3), np.int8(3), np.uint16(3)])
+def test_contract_takes_any_integral_basis_index(index):
+    phi = cayley_form()
+    assert contract(index, phi) == contract(3, phi)
+
+
+@pytest.mark.parametrize("flag", [True, False])
+def test_contract_rejects_a_bool_basis_index(flag):
+    # True == 1, but a flag is not an index: it must not contract with dx_1
+    with pytest.raises(TypeError, match="is a bool, not an int"):
+        contract(flag, cayley_form())
+
+
 def test_wedge_above_top_degree_is_zero():
     a = Multivector.monomial(3, [1, 2])
     b = Multivector.monomial(3, [2, 3])
@@ -407,6 +421,20 @@ def test_parse_form_names_a_malformed_term(text, term):
     with pytest.raises(ValueError, match=re.escape(
             f"bad form literal term: {term!r}")):
         parse_form(text, 3)
+
+
+@pytest.mark.parametrize("text, degree, message", [
+    ("1 dx[1]", 2, "term '1 dx[1]' has degree 1, not the stated degree 2"),
+    ("1 dx[1]", 5, "degree 5 out of range 0..3"),
+    ("1 dx[1]", -1, "degree -1 out of range 0..3"),
+    ("0", 5, "degree 5 out of range 0..3"),
+    ("1 dx[1,2] -1 dx[3]", 2,
+     "term '-1 dx[3]' has degree 1, not the stated degree 2"),
+    ("1 dx[1,2] -1 dx[3]", None, "mixed degrees in form literal"),
+])
+def test_parse_form_names_the_degrees_that_disagree(text, degree, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        parse_form(text, 3, degree)
 
 
 # ---------------------------------------------------------------------------

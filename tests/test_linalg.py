@@ -16,13 +16,12 @@ from hypothesis import strategies as st
 from spin7 import linalg
 
 MAX_ROWS, MAX_COLS = 12, 16
-FIRST_PRIME = linalg._FIRST_PRIME
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 entries = st.builds(Fraction, st.integers(-6, 6),
                     st.sampled_from((1, 2, 3, 5)))
-# too large to lift modulo the first prime: the kernel has to retry
+# numerators of 41-49 bits over denominators of 17-21 bits
 large_entries = st.builds(
     Fraction, st.integers(2 ** 40, 2 ** 48) | st.integers(-2 ** 48, -2 ** 40),
     st.integers(2 ** 16 + 1, 2 ** 20))
@@ -186,11 +185,11 @@ def test_results_do_not_depend_on_the_input_number_types(m, data):
 
 
 @pytest.mark.parametrize("matrix, expected", [
-    # zero modulo 2^31 - 1, which was the first prime before 2^30 - 35
+    # primes of 30 and 31 bits, 10^6 and their reciprocals: entries and
+    # denominators far above the small ones of the splits
     ([[Fraction(2 ** 31 - 1)]], ([[1]], [0])),
     ([[Fraction(2 ** 31 - 1), Fraction(1)]], ([[1, Fraction(1, 2 ** 31 - 1)]],
                                               [0])),
-    # 10^6 and 10^-6 are out of reach of a lift modulo the first prime
     ([[Fraction(1, 10 ** 6), Fraction(1)], [Fraction(0), Fraction(0)]],
      ([[1, 10 ** 6], [0, 0]], [0])),
     ([[Fraction(10 ** 6), Fraction(1)], [Fraction(3), Fraction(7, 10 ** 6)]],
@@ -198,34 +197,13 @@ def test_results_do_not_depend_on_the_input_number_types(m, data):
     ([[Fraction(10 ** 6), Fraction(1), Fraction(0)],
       [Fraction(0), Fraction(1, 10 ** 6), Fraction(1)]],
      ([[1, 0, -1], [0, 1, 10 ** 6]], [0, 1])),
-    # zero modulo the first prime, and its inverse, which has no residue
-    ([[Fraction(FIRST_PRIME), Fraction(1)]],
-     ([[1, Fraction(1, FIRST_PRIME)]], [0])),
-    ([[Fraction(1, FIRST_PRIME), Fraction(1)]], ([[1, FIRST_PRIME]], [0])),
-    # 30000 > sqrt(p / 2) = 23170: no lift modulo the first prime
+    ([[Fraction(2 ** 30 - 35), Fraction(1)]],
+     ([[1, Fraction(1, 2 ** 30 - 35)]], [0])),
+    ([[Fraction(1, 2 ** 30 - 35), Fraction(1)]], ([[1, 2 ** 30 - 35]], [0])),
     ([[Fraction(1), Fraction(1, 30000)]], ([[1, Fraction(1, 30000)]], [0])),
 ])
-def test_rref_retries_where_the_first_prime_fails(matrix, expected):
+def test_rref_is_exact_at_large_and_small_entries(matrix, expected):
     assert linalg.rref(matrix) == expected == reference_rref(matrix)
-
-
-def test_first_prime_is_the_largest_prime_below_2_to_the_30():
-    def is_prime(n):
-        return n > 1 and all(n % k for k in range(2, math.isqrt(n) + 1))
-
-    assert FIRST_PRIME < 2 ** 30 and is_prime(FIRST_PRIME)
-    assert not any(is_prime(n) for n in range(FIRST_PRIME + 1, 2 ** 30))
-
-
-def test_a_denominator_above_the_first_lift_bound_certifies_at_2_61_minus_1():
-    # 1/30000 lifts modulo 2^31 - 1 (bound 32767) but not modulo the first
-    # prime (bound 23170); the next prime tried is 2^61 - 1
-    rows = [([(0, 30000), (1, 1)], 30000)]
-    assert math.isqrt((FIRST_PRIME - 1) // 2) == 23170
-    assert linalg._certified(rows, FIRST_PRIME) is None
-    assert linalg._certified(rows, 2 ** 31 - 1) is not None
-    assert linalg._certified(rows, 2 ** 61 - 1) == ([0], [[(1, 1)]], 30000)
-    assert linalg._MERSENNE_EXPONENTS[0] == 61
 
 
 def test_rref_edge_shapes():
@@ -309,6 +287,25 @@ def test_sparse_kernel_agrees_with_the_reference_elimination(case):
         assert _well_formed(r, ncols)
     for (entries, d), p in zip(reduced, pivots):
         assert entries[0] == (p, d)
+
+
+def _least_shared_denominator(rows) -> bool:
+    """The rows share one denominator D, and no prime divides D and every
+    numerator: D is the least shared denominator."""
+    if not rows:
+        return True
+    (d,) = {d for _, d in rows}
+    return math.gcd(d, *[x for entries, _ in rows for _, x in entries]) == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_rows() | matrices(large_entries).map(
+    lambda m: ([linalg.row([(j, x) for j, x in enumerate(r) if x]) for r in m],
+               len(m[0]))))
+def test_results_have_the_least_shared_denominator(case):
+    rows, ncols = case
+    assert _least_shared_denominator(linalg.echelon(rows)[0])
+    assert _least_shared_denominator(linalg.kernel(rows, range(ncols)))
 
 
 @settings(max_examples=80, deadline=None)

@@ -201,6 +201,52 @@ def test_stabilizer_and_four_form_split_of_a_rotated_cayley_form(form):
     assert splits.four_form_split(form).ranks == (1, 7, 27, 35)
 
 
+@st.composite
+def cayley_transforms(draw):
+    """g = (I - A)(I + A)^-1 for a skew A with entries p/q, |p| <= h and
+    1 <= q <= h, h <= 2: a rational rotation of determinant +1 whose g.Phi
+    is generically dense, unlike the signed permutations and plane
+    rotations above."""
+    h = draw(st.integers(1, 2))
+    entry = st.builds(Fraction, st.integers(-h, h), st.integers(1, h))
+    A = [[Fraction(0)] * 8 for _ in range(8)]
+    for i, j in itertools.combinations(range(8), 2):
+        A[i][j] = draw(entry)
+        A[j][i] = -A[i][j]
+    identity = [[Fraction(int(i == j)) for j in range(8)] for i in range(8)]
+    plus = [[e + a for e, a in zip(*rows)] for rows in zip(identity, A)]
+    minus = [[e - a for e, a in zip(*rows)] for rows in zip(identity, A)]
+    # I + A is invertible for skew A: the right half of the reduced
+    # [I + A | I] is its inverse
+    reduced, _ = linalg.rref([left + right
+                              for left, right in zip(plus, identity)])
+    inverse = [r[8:] for r in reduced]
+    return [[sum((m[k] * inverse[k][j] for k in range(8)), Fraction(0))
+             for j in range(8)] for m in minus]
+
+
+def _spans_the_images(g, block, images_of):
+    """The block spans the g-images of ``images_of``, a basis of the
+    same dimension."""
+    images = [_act(g, a) for a in images_of]
+    rows = [splits.to_coords(a) for a in (*block, *images)]
+    assert len(block) == len(images) == len(linalg.echelon(rows)[1])
+
+
+@settings(max_examples=8, deadline=None)
+@given(cayley_transforms())
+def test_splits_of_a_generic_rotation_are_the_rotated_cayley_splits(g):
+    phi = _act(g, PHI)
+    assert splits.stabilizer_dimension(phi).dim == 21
+    for split, ranks in ((splits.two_form_split, (7, 21)),
+                         (splits.three_form_split, (8, 48)),
+                         (splits.four_form_split, (1, 7, 27, 35))):
+        rotated, cayley = split(phi), split(PHI)
+        assert rotated.ranks == ranks
+        for label in rotated.labels:
+            _spans_the_images(g, rotated.basis(label), cayley.basis(label))
+
+
 def test_infinitesimal_action_is_a_derivation():
     A = [[Fraction(0)] * 8 for _ in range(8)]
     A[0][1] = Fraction(1)
