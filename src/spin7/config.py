@@ -43,7 +43,8 @@ first failing check raises ``AdmissibilityFailure`` with its reasons:
 5. ``involution``;
 6. ``anticanonical divisor degree``.
 
-V must be the ambient space or a single diagonal hypersurface.
+It raises it too when chi(V) disagrees with the Betti numbers.  V must
+be the ambient space or a single diagonal hypersurface.
 ``wps.isolated_z4_check`` decides this once, right after
 ``well-formed (V)`` and before D is looked at, and raises
 ``wps.UnsupportedError`` for any other V.
@@ -344,9 +345,17 @@ def analyze(config: Configuration) -> AnalysisResult:
         hodge_row = charnum.steenbrink_hodge(space.weights,
                                              config.variety_degrees[0])
         h31 = hodge_row[1]  # h^{n-2, 1} = h^{3,1} for a 4-fold
+        # by Lefschetz b0 = b2 = b6 = b8 = 1, b4 is the middle row's sum
+        # and the odd Betti numbers vanish
+        betti_chi = 4 + sum(hodge_row)
     else:
         h31 = 0  # the ambient space has rational cohomology generated
         # in degree 2, so no (3,1)-classes
+        betti_chi = len(space.weights)  # that of CP^n
+    if chi_v.chi_top != betti_chi:
+        raise AdmissibilityFailure([
+            f"chi(V) = {chi_v.chi_top} from the Chern classes and the "
+            f"singular points, but {betti_chi} from the Betti numbers"])
 
     chi_d = charnum.euler_characteristics(
         space.weights, config.divisor_degrees).chi_top

@@ -1,37 +1,23 @@
 """Decompositions of form spaces under Spin(7), G2 and SU(4).
 
-Everything in this module is exact: the relevant operators have known
-integer eigenvalues, so invariant subspaces are exact kernels computed
-over the rationals.  The ambient metric is the standard Euclidean one;
-operations that need the Hodge star check that the supplied 4-form is
-compatible with it (self-dual) and raise ``AdmissibilityError`` otherwise.
+Everything in this module is exact.  Every type split is a set of
+eigenspaces of one operator on r-forms, the contraction
+C_r(psi): a -> sum_(m<k) (e_m ^ e_k -| psi) ^ (e_m ^ e_k -| a),
+whose integer eigenvalues label the blocks; ``TypeSplit.project`` is a
+Lagrange polynomial of it.  The metric is the Euclidean one: the 3- and
+4-form splits check that Phi is self-dual and meets the premise of
+``_require_admissible``, and raise ``AdmissibilityError`` otherwise.
 
-The constructions read cached tables of +-1 entries per monomial,
-keyed by (n, mask) and independent of any input form, so every entry of
-a matrix is plus or minus a coefficient of the form:
-
-- ``_monomial_action`` gives ``action_matrix``, the one construction of
-  the infinitesimal gl(n) action on forms: the stabilizer,
-  ``infinitesimal_action`` and the Newton tangent directions of
-  :mod:`spin7.projection` read it.
-- ``_monomial_rotation`` is that table regrouped by the generators
-  E_ij - E_ji of so(n); the 4-form split reads the so(8)-orbit images
-  from it.
-- ``_monomial_star_wedge`` gives ``star_wedge_matrix``, the one
-  construction of a -> *(psi ^ a): the 2-form split and its SU(4)
-  refinement read their eigenspaces from it, and the cylinder types
-  their hats *( *phi ^ . ).
-
-The column of the coefficient of dx_m in every exact row is the mask m
-itself, so a form's numerators are its row as they stand; the rows of
-each matrix are listed in increasing mask order.  Every star sign is
-read from ``forms._star_negated``, the table of the Hodge star itself,
-and the star sends dx_m to +-dx_(255 ^ m) on R^8.  The 4-form split
-works on half of the 70 coordinates: a self-dual 4-form is fixed by
-its coefficients at the masks with dx_8 (``m & 128``), or at those
-without, and the anti-self-dual block is dx_m - *dx_m over the masks
-with dx_8, with no elimination.  The stabilizer is kept as kernel rows,
-column i*n + j for E_ij.
+Cached tables of +-1 entries per monomial, keyed by (n, mask), make every
+matrix entry plus or minus a coefficient of the form:
+``_monomial_action`` gives ``action_matrix``, the gl(n) action, which
+``_monomial_rotation`` regroups by the generators of so(n), and
+``_monomial_contraction`` gives ``contraction_matrix``, C_r itself.  The
+column of dx_m in every exact row is the mask m, and rows are listed in
+increasing mask order.  The star sends dx_m to +-dx_(255 ^ m) on R^8, so
+a self-dual 4-form is fixed by its coefficients at the masks with dx_8
+(``m & 128``), the half of the 70 coordinates that the 4-form split
+works on.  The stabilizer is kept as kernel rows, column i*n + j for E_ij.
 """
 
 from __future__ import annotations
@@ -163,36 +149,36 @@ def action_matrix(form: Multivector) -> list[Row]:
 
 
 @lru_cache(maxsize=None)
-def _monomial_star_wedge(n: int, r: int, mask: int
-                         ) -> tuple[tuple[int, int, bool], ...]:
-    """(row mask, column mask, negated) of each entry of the matrix of
-    a -> *(dx_mask ^ a) on r-forms, all +-1: one per degree-r monomial
-    dx_m disjoint from dx_mask, sent to the complement of mask | m.  The
-    sign sorts dx_mask ^ dx_m and then applies the star."""
-    full = (1 << n) - 1
-    star_negated = _star_negated(n)
+def _monomial_contraction(n: int, r: int, mask: int
+                          ) -> tuple[tuple[int, int, bool], ...]:
+    """(row mask, column mask, negated) of each entry of C_r(dx_mask), all
+    +-1: one per degree-r monomial dx_m sharing exactly one pair p of
+    indices with dx_mask, sent to dx_(mask ^ m).  The sign moves dx_p to
+    the front of both, where e_p -| takes it off, and sorts the rest."""
     return tuple(
-        (full ^ union, m, (merge_sign(mask, m) < 0) != star_negated[union])
-        for m in monomial_masks(n, r) if not mask & m
-        for union in (mask | m,))
+        (mask ^ m, m, merge_sign(p, mask ^ p) * merge_sign(p, m ^ p)
+         * merge_sign(mask ^ p, m ^ p) < 0)
+        for m in monomial_masks(n, r)
+        for p in (mask & m,) if p.bit_count() == 2)
 
 
-def star_wedge_matrix(psi: Multivector, r: int) -> list[Row]:
-    """Exact rows of a -> *(psi ^ a) from r-forms to (n - s - r)-forms,
-    s the degree of psi, in monomial bases.
+def contraction_matrix(psi: Multivector, r: int) -> list[Row]:
+    """Exact rows of C_r(psi) from r-forms to (s + r - 4)-forms, s the
+    degree of psi; on 2-forms C_2(psi) is a -> *( *psi ^ a) if s (n - s)
+    is even, as on R^8 and R^7 here, and its negative otherwise.
 
     The rows belong to the output monomials in increasing mask order, and
-    column m to the input monomial dx_m.  A (row, column) pair determines
-    the monomial of psi that joins them, so, as in ``action_matrix``,
-    every nonzero entry is plus or minus one coefficient of psi.  The rows
-    share psi's denominator and list their columns in no particular order.
+    column m to the input monomial dx_m.  The entry in row i and column m
+    is plus or minus the coefficient of psi at the mask i ^ m, picked from
+    (c, -c) as in ``action_matrix``.  The rows share psi's denominator and
+    list their columns in no particular order.
     """
     n = psi.dimension
     rows: dict[int, list[tuple[int, int]]] = {
-        m: [] for m in monomial_masks(n, n - psi.degree - r)}
+        m: [] for m in monomial_masks(n, psi.degree + r - 4)}
     for mask, c in psi.numerators.items():
         pair = (c, -c)
-        for row, col, negated in _monomial_star_wedge(n, r, mask):
+        for row, col, negated in _monomial_contraction(n, r, mask):
             rows[row].append((col, pair[negated]))
     return [(entries, psi.denominator) for entries in rows.values()]
 
@@ -214,23 +200,28 @@ def infinitesimal_action(A: Matrix, form: Multivector) -> Multivector:
 
 @dataclass(frozen=True)
 class TypeSplit:
-    """An orthogonal decomposition of Lambda^r(R^n) into labeled blocks."""
+    """An orthogonal decomposition of Lambda^r(R^n) into labeled blocks:
+    each block is the eigenspace of C_r(phi) for the eigenvalue stored
+    beside its label.  C_r(phi) is symmetric with zero diagonal and
+    |C_r(phi)|^2 = (6, 24, 36) |phi|^2 for r = 2, 3, 4 on R^8, so when the
+    k eigenvalues left after the known blocks have the sum k mu and the
+    sum of squares k mu^2, the complement is the mu-eigenspace."""
 
     dimension: int
     degree: int
     phi: Multivector
-    blocks: tuple[tuple[str, tuple[Multivector, ...]], ...]
+    blocks: tuple[tuple[str, int, tuple[Multivector, ...]], ...]
 
     @property
     def ranks(self) -> tuple[int, ...]:
-        return tuple(len(basis) for _, basis in self.blocks)
+        return tuple(len(basis) for _, _, basis in self.blocks)
 
     @property
     def labels(self) -> tuple[str, ...]:
-        return tuple(label for label, _ in self.blocks)
+        return tuple(label for label, _, _ in self.blocks)
 
     def basis(self, label: str) -> tuple[Multivector, ...]:
-        for block_label, block_basis in self.blocks:
+        for block_label, _, block_basis in self.blocks:
             if block_label == label:
                 return block_basis
         raise KeyError(f"no block labeled {label!r}")
@@ -238,56 +229,37 @@ class TypeSplit:
     def project(self, label: str, a: Multivector) -> Multivector:
         """Exact orthogonal projection of ``a`` onto the labeled block.
 
-        Over the numerators U, V of the basis forms and A of ``a``, the
-        projection is sum_V z_V V / (denominator of a), where z solves the
-        integer Gram system sum_V (U.V) z_V = U.A; one ``echelon`` call on
-        the augmented rows solves it."""
+        C_r(phi) is symmetric and the blocks are its eigenspaces, so the
+        projection onto the block of eigenvalue lambda is the Lagrange
+        polynomial prod_mu (C_r(phi) - mu) / (lambda - mu) over the other
+        blocks' eigenvalues mu, applied to the numerators of ``a``."""
         if (a.dimension, a.degree) != (self.dimension, self.degree):
             raise ValueError(
                 f"expected a form with (n, r) = ({self.dimension}, "
                 f"{self.degree}); got ({a.dimension}, {a.degree})")
-        basis = [b.numerators for b in self.basis(label)]
-        k = len(basis)
-
-        def dot(u: dict[int, int], v: dict[int, int]) -> int:
-            return sum(x * v[m] for m, x in u.items() if m in v)
-
-        rows = [([(j, g) for j, v in enumerate([*basis, a.numerators])
-                  if (g := dot(u, v))], 1) for u in basis]
-        reduced, pivots = linalg.echelon(rows)
-        # the Gram matrix of independent vectors is invertible
-        if pivots != list(range(k)):
-            raise ValueError(f"the basis of block {label!r} is not linearly "
-                             "independent")
-        acc: dict[int, int] = {}
-        for (entries, _), v in zip(reduced, basis):
-            j, z = entries[-1]  # the augmented column is the last
-            if j == k:
-                for m, x in v.items():
-                    acc[m] = acc.get(m, 0) + z * x
-        scale = reduced[0][1] if reduced else 1  # shared by the rows
-        return Multivector._reduced(self.dimension, self.degree,
-                                    {m: x for m, x in acc.items() if x},
-                                    scale * a.denominator)
+        eigenvalues = {block[0]: block[1] for block in self.blocks}
+        eigenvalue = eigenvalues.pop(label)
+        rows = contraction_matrix(self.phi, self.degree)
+        d = self.phi.denominator
+        v, scale = a.numerators, a.denominator
+        for mu in eigenvalues.values():  # (C_r - mu) v gains the factor d
+            v = {m: x for m, (entries, _) in zip(
+                     monomial_masks(self.dimension, self.degree), rows)
+                 if (x := sum(c * v[k] for k, c in entries if k in v)
+                     - mu * d * v.get(m, 0))}
+            scale *= d * (eigenvalue - mu)
+        return Multivector(self.dimension, self.degree,
+                           {m: Fraction(x, scale) for m, x in v.items()})
 
 
-def _eigenspaces(matrix: list[Row], n: int, r: int,
-                 eigenvalues: tuple[int, ...]) -> list[list[Multivector]]:
-    """Exact eigenspaces of the rows of a linear map Lambda^r -> Lambda^r,
-    one basis per requested eigenvalue."""
-    masks = monomial_masks(n, r)
-    out = []
-    for eigenvalue in eigenvalues:
-        shifted = []
-        for m, (entries, d) in zip(masks, matrix):
-            diagonal = dict(entries)
-            x = diagonal.pop(m, 0) - eigenvalue * d
-            if x:
-                diagonal[m] = x
-            shifted.append((list(diagonal.items()), d))
-        out.append([from_coords(v, n, r)
-                    for v in linalg.kernel(shifted, masks)])
-    return out
+def _eigenspace(matrix: list[Row], eigenvalue: int) -> list[Multivector]:
+    """Exact eigenspace of the rows of a C_2(psi) on 2-forms on R^8, which
+    has no diagonal entries."""
+    masks = monomial_masks(8, 2)
+    # from the last row up: the same kernel, with less fill-in
+    return [from_coords(v, 8, 2) for v in linalg.kernel(
+        [(entries + [(m, -eigenvalue * d)], d)
+         for m, (entries, d) in zip(masks[::-1], matrix[::-1])], masks)]
 
 
 def _complement(forms: list[Multivector]) -> list[Multivector]:
@@ -298,48 +270,74 @@ def _complement(forms: list[Multivector]) -> list[Multivector]:
             for v in linalg.kernel(rows, monomial_masks(n, r))]
 
 
-def two_form_split(phi: Multivector) -> TypeSplit:
-    """Split 2-forms on R^8 by the eigenvalues {3, -1} of a -> *(Phi ^ a).
+_NOT_SELF_DUAL = ("form not admissible here: Phi must be self-dual for the "
+                  "Euclidean metric")
 
-    Ranks (7, 21); the rank-7 block is the 3-eigenspace.
-    """
+
+def two_form_split(phi: Multivector) -> TypeSplit:
+    """Split 2-forms on R^8 by the eigenvalues {3, -1} of C_2(Phi), that is
+    of a -> *( *Phi ^ a) = *(Phi ^ a), into ranks (7, 21).
+
+    With a 3-eigenspace of rank 7 and |Phi|^2 = 14, the 21 eigenvalues
+    left sum to -21 with squares summing to 21.  Phi must be self-dual,
+    checked after the ranks."""
     if phi.dimension != 8 or phi.degree != 4:
         raise ValueError("expected a 4-form on R^8")
-    e3, em1 = _eigenspaces(star_wedge_matrix(phi, 2), 8, 2, (3, -1))
-    if len(e3) != 7 or len(em1) != 21:
+    matrix = contraction_matrix(phi, 2)
+    e3 = _eigenspace(matrix, 3)
+    if len(e3) != 7 or inner(phi, phi) != 14:
+        em1 = _eigenspace(matrix, -1)  # only to name its rank
         raise AdmissibilityError(
             "form not admissible: the 2-form operator *(Phi ^ .) does not "
             f"have eigenspace ranks (7, 21); found ({len(e3)}, {len(em1)})")
-    return TypeSplit(8, 2, phi, (("7", tuple(e3)), ("21", tuple(em1))))
-
-
-def _require_self_dual(phi: Multivector) -> None:
-    """The premise of the 3- and 4-form splits: this module does not
-    recompute the metric induced by a general Phi, so Phi must be
-    self-dual for the Euclidean one."""
     if hodge_star(phi) != phi:
+        raise AdmissibilityError(_NOT_SELF_DUAL)
+    return TypeSplit(8, 2, phi, (("7", 3, tuple(e3)),
+                                 ("21", -1, tuple(_complement(e3)))))
+
+
+def _require_admissible(phi: Multivector) -> None:
+    """The premise of the 3- and 4-form splits, for a self-dual Phi:
+    |Phi|^2 = 14 and C_4(Phi)(Phi) = 12 Phi.  C_4 is so(8)-equivariant and
+    symmetric in its two 4-forms, so so(8).Phi is then in the 6-eigenspace
+    of C_4(Phi), and C_3(v -| Phi) = 1/2 v -| C_4(Phi)(Phi) = 6 v -| Phi.
+    C_4(Phi) kills the anti-self-dual forms, so its image is self-dual and
+    the identity is checked at the masks with dx_8.  There each product
+    pairs a monomial without dx_8 with one with it, and appears twice."""
+    v, d = phi.numerators, phi.denominator
+    half: dict[int, int] = {}  # of C_4(Phi)(Phi), over d^2
+    for mask, c in v.items():
+        if not mask & 128:
+            for row, col, negated in _monomial_contraction(8, 4, mask):
+                if row & 128 and col in v:
+                    x = c * v[col]
+                    half[row] = half.get(row, 0) + (-x if negated else x)
+    if (sum(x * x for x in v.values()) != 14 * d * d
+            or any(half.get(m, 0) != 6 * d * v.get(m, 0)
+                   for m in monomial_masks(8, 4) if m & 128)):
         raise AdmissibilityError(
-            "form not admissible here: Phi must be self-dual for the "
-            "Euclidean metric")
+            "form not admissible: Phi must have |Phi|^2 = 14 and "
+            "C_4(Phi)(Phi) = 12 Phi")
 
 
 def three_form_split(phi: Multivector) -> TypeSplit:
-    """Split 3-forms on R^8 into {v -| Phi} and its orthogonal complement.
-
-    Ranks (8, 48).  Phi must be self-dual for the Euclidean metric: the
-    rank of the contractions alone does not tell an admissible Phi.
-    """
+    """Split 3-forms on R^8 into {v -| Phi} and its orthogonal complement,
+    of ranks (8, 48), the eigenspaces of C_3(Phi) for 6 and -1: under the
+    premise of ``_require_admissible`` the 48 eigenvalues left sum to -48
+    with squares summing to 48."""
     if phi.dimension != 8 or phi.degree != 4:
         raise ValueError("expected a 4-form on R^8")
-    _require_self_dual(phi)
+    if hodge_star(phi) != phi:
+        raise AdmissibilityError(_NOT_SELF_DUAL)
+    _require_admissible(phi)
     contractions = [contract(i, phi) for i in range(1, 9)]
     complement = _complement(contractions)
     if len(complement) != 48:  # the contractions span 56 - 48 = 8 dimensions
         raise AdmissibilityError(
             "form not admissible: contractions v -| Phi do not span an "
             "8-dimensional space")
-    return TypeSplit(8, 3, phi,
-                     (("8", tuple(contractions)), ("48", tuple(complement))))
+    return TypeSplit(8, 3, phi, (("8", 6, tuple(contractions)),
+                                 ("48", -1, tuple(complement))))
 
 
 @lru_cache(maxsize=1)
@@ -355,26 +353,24 @@ def _anti_self_dual_block() -> tuple[Multivector, ...]:
 
 
 def four_form_split(phi: Multivector) -> TypeSplit:
-    """Split 4-forms on R^8 into ranks (1, 7, 27, 35).
+    """Split 4-forms on R^8 into ranks (1, 7, 27, 35), the eigenspaces of
+    C_4(Phi) for 12, 6, -2 and 0.
 
     The rank-1 block is spanned by Phi, the rank-7 block is the tangent
     space so(8).Phi of the rotation orbit, the rank-35 block consists of
     the anti-self-dual forms, and the rank-27 block is the orthogonal
-    complement of the rest.  Phi must be self-dual for the Euclidean
-    metric (true for the standard Cayley form and its rotations).  The
-    rank-1, 7 and 27 blocks are then self-dual, so each is computed on
-    one half of the columns and extended by the star.
-    """
+    complement of the rest: under the premise of ``_require_admissible``
+    its 27 eigenvalues sum to -54 with squares summing to 108.  Phi is
+    self-dual, so the rank-1, 7 and 27 blocks are, and each is computed
+    on one half of the columns and extended by the star."""
     if phi.dimension != 8 or phi.degree != 4:
         raise ValueError("expected a 4-form on R^8")
-    _require_self_dual(phi)
-    anti = _anti_self_dual_block()
+    if hodge_star(phi) != phi:
+        raise AdmissibilityError(_NOT_SELF_DUAL)
 
-    # so(8) commutes with *, so the images of the self-dual Phi under the
-    # generators E_ij - E_ji are self-dual, and so are their reduced rows,
-    # which then have their pivots among the masks without dx_8:
-    # eliminating there and extending by * gives the reduced rows of all 70
-    # columns
+    # so(8) commutes with *, so the images of Phi and their reduced rows
+    # are self-dual, with pivots among the masks without dx_8: eliminating
+    # there and extending by * gives the reduced rows of all 70 columns
     low: list[Row] = [([], phi.denominator) for _ in range(28)]
     for mask, c in phi.numerators.items():
         pair = (c, -c)
@@ -386,60 +382,55 @@ def four_form_split(phi: Multivector) -> TypeSplit:
     if len(block7) != 7:
         raise AdmissibilityError(
             f"form not admissible: so(8).Phi has rank {len(block7)}, not 7")
-    if any(inner(b, phi) for b in block7):
-        raise AdmissibilityError(
-            "form not admissible: so(8).Phi is not self-dual and orthogonal "
-            "to Phi")
+    _require_admissible(phi)  # so Phi is orthogonal to the 6-eigenvectors
 
-    # the anti-self-dual forms make up the rank-35 block, so the rank-27
-    # block is the self-dual v orthogonal to Phi and the rank-7 block; for
-    # self-dual a, <a, v> is twice sum_m a_m v_m over the masks with dx_8.
-    # A kernel's free columns are its basis of columns picked greedily
-    # from the right, and self-dual forms are fixed by their coefficients
-    # at those masks, the 35 largest, so this 35-column kernel has the
-    # free columns, and the basis, of the 70-column one
+    # the rank-27 block is the self-dual v orthogonal to Phi and rows7, and
+    # for self-dual a, <a, v> is twice sum a_m v_m over the masks with dx_8.
+    # A kernel's free columns are picked greedily from the right, so this
+    # kernel has the free columns, and the basis, of the 70-column one
     high = [([(m, x) for m, x in entries if m & 128], 1)
             for entries, _ in [to_coords(phi), *rows7]]
     block27 = [from_coords(_self_dual(v), 8, 4)
                for v in linalg.kernel(high, [m for m in monomial_masks(8, 4)
                                              if m & 128])]
-    if len(block27) != 27:
-        raise AdmissibilityError("rank-27 complement has wrong dimension")
     return TypeSplit(8, 4, phi, (
-        ("1", (phi,)),
-        ("7", tuple(block7)),
-        ("27", tuple(block27)),
-        ("35", anti),
+        ("1", 12, (phi,)),
+        ("7", 6, tuple(block7)),
+        ("27", -2, tuple(block27)),
+        ("35", 0, _anti_self_dual_block()),
     ))
 
 
 def su4_two_form_refinement(omega: Multivector,
                             re_theta: Multivector) -> TypeSplit:
-    """Refine the 2-form split under SU(4) into ranks (1, 6, 6, 15).
+    """Refine the 2-form split under SU(4) into ranks (1, 6, 6, 15), the
+    eigenspaces of C_2(psi) for 3, 5, -3 and -1, psi = omega^2/2 +
+    2 Re theta.
 
-    The two rank-6 blocks are the +2 and -2 eigenspaces of the operator
-    a -> *(a ^ Re theta); the rank-1 block is spanned by omega; the
-    rank-15 block is the orthogonal complement.
-    """
+    The rank-1 block is spanned by omega, and the rank-15 block is the
+    complement of the rest: with C_2(psi) omega = 3 omega and |psi|^2 =
+    38 its 15 eigenvalues sum to -15 with squares summing to 15."""
     if omega.dimension != 8 or omega.degree != 2:
         raise ValueError("expected the Kaehler 2-form on R^8")
     if re_theta.dimension != 8 or re_theta.degree != 4:
         raise ValueError("expected the real part of the (4,0)-form")
-    # a ^ Re theta = Re theta ^ a: the degrees are even
-    plus, minus = _eigenspaces(star_wedge_matrix(re_theta, 2), 8, 2, (2, -2))
-    if len(plus) != 6 or len(minus) != 6:
-        raise AdmissibilityError(
-            "eigenvalue structure violated: the +/-2 eigenspaces of "
-            f"*(. ^ Re theta) have ranks ({len(plus)}, {len(minus)}), "
-            "expected (6, 6)")
+    psi = wedge(omega, omega) * Fraction(1, 2) + 2 * re_theta
+    matrix = contraction_matrix(psi, 2)
+    plus, minus = _eigenspace(matrix, 5), _eigenspace(matrix, -3)
     rest = _complement([omega, *plus, *minus])
-    if len(rest) != 15:
-        raise AdmissibilityError("rank-15 complement has wrong dimension")
-    return TypeSplit(8, 2, wedge(omega, omega) * Fraction(1, 2) + re_theta, (
-        ("1", (omega,)),
-        ("6+", tuple(plus)),
-        ("6-", tuple(minus)),
-        ("15", tuple(rest)),
+    # C_2(psi) omega = *( *psi ^ omega)
+    if (hodge_star(wedge(hodge_star(psi), omega)) != 3 * omega
+            or inner(psi, psi) != 38 or len(rest) != 15
+            or (len(plus), len(minus)) != (6, 6)):
+        raise AdmissibilityError(
+            "eigenvalue structure violated: C_2(omega^2/2 + 2 Re theta) "
+            "needs the norm sqrt(38), omega as a 3-eigenvector and 5- and "
+            f"-3-eigenspaces of ranks ({len(plus)}, {len(minus)}) = (6, 6)")
+    return TypeSplit(8, 2, psi, (
+        ("1", 3, (omega,)),
+        ("6+", 5, tuple(plus)),
+        ("6-", -3, tuple(minus)),
+        ("15", -1, tuple(rest)),
     ))
 
 
@@ -483,13 +474,13 @@ def _cylinder_rows(phi: Multivector
     hats *( *phi ^ (v -| phi) ), as rows of 1-forms on R^7, one for each
     basis vector v.
 
-    The hats *( *phi ^ . ) are the rows of ``star_wedge_matrix``.  dt is
+    The hats *( *phi ^ . ) are the rows of ``contraction_matrix``.  dt is
     x_1, so a form of mask m on R^7 lifts to the mask m << 1 on R^8, and
     dt ^ it to (m << 1) | 1.
     """
     # hat[k][m]: the coefficient of dx_k in the hat of dx_m
     hat = {k: dict(entries) for k, (entries, _) in zip(
-        monomial_masks(7, 1), star_wedge_matrix(hodge_star(phi), 2))}
+        monomial_masks(7, 1), contraction_matrix(phi, 2))}
     d = phi.denominator
     twentyone = [([((k << 1) | 1, row[m]) for k, row in hat.items()
                    if m in row] + [(m << 1, -d)], d)
@@ -547,6 +538,6 @@ def cylinder_two_form_types(split: TypeSplit) -> CylinderTypes:
         raise AdmissibilityError(
             "contraction map scale differs between directions")
     return CylinderTypes(split=TypeSplit(8, 2, split.phi, (
-        ("7", tuple(from_coords(v, 8, 2) for v in seven)),
-        ("21", tuple(split.basis("21"))))),
+        ("7", 3, tuple(from_coords(v, 8, 2) for v in seven)),
+        ("21", -1, split.basis("21")))),
         iso_scale=scales[0])

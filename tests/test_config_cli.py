@@ -1,13 +1,14 @@
 """Configuration schema, canonical serialization, and CLI behaviour."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import pathlib
 
 import pytest
 
-from spin7 import cli, config, invariants, wps
+from spin7 import charnum, cli, config, invariants, wps
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
@@ -134,6 +135,36 @@ def test_analyze_the_first_configuration():
     assert data.k == 1
     assert data.sigma == (invariants.SigmaComponent(1376, 199, 1),)
     assert result.report.b4 == 839
+
+
+@pytest.mark.parametrize("name, chi", [("m1", 5), ("m2", 306),
+                                       ("m2_via_double_blowup", 5)])
+def test_analyze_chi_v_agrees_with_the_betti_numbers(name, chi):
+    # 4 + the sum of the Steenbrink row for a diagonal 4-fold, and n + 1
+    # for the ambient space
+    cfg = config.load_config((CONFIG_DIR / f"{name}.cfg").read_text())
+    assert config.analyze(cfg).chi_V.chi_top == chi
+
+
+@pytest.mark.parametrize("name", ["m1", "m2"])
+def test_analyze_rejects_a_chi_v_that_the_betti_numbers_contradict(
+        name, monkeypatch):
+    cfg = config.load_config((CONFIG_DIR / f"{name}.cfg").read_text())
+    chi = config.analyze(cfg).chi_V.chi_top
+    original = charnum.euler_characteristics
+
+    def off_by_one(weights, degrees, singular_orders=()):
+        result = original(weights, degrees, singular_orders)
+        if tuple(degrees) != tuple(cfg.variety_degrees):
+            return result
+        return dataclasses.replace(result, chi_top=result.chi_top + 1)
+
+    monkeypatch.setattr(charnum, "euler_characteristics", off_by_one)
+    with pytest.raises(config.AdmissibilityFailure) as error:
+        config.analyze(cfg)
+    assert error.value.reasons == [
+        f"chi(V) = {chi + 1} from the Chern classes and the singular "
+        f"points, but {chi} from the Betti numbers"]
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,7 @@ def test_import_builds_no_table():
               "          for name, f in vars(module).items()\n"
               "          if hasattr(f, 'cache_info')}\n"
               "assert {'_star_negated', '_monomial_action',\n"
-              "        '_monomial_rotation', '_monomial_star_wedge',\n"
+              "        '_monomial_rotation', '_monomial_contraction',\n"
               "        '_anti_self_dual_block'} \\\n"
               "    <= set(caches)\n"
               "assert not any(caches.values()), caches\n")

@@ -331,7 +331,7 @@ def _bases(subject):
     computed for one subject."""
     def forms(split, name):
         return {f"{name} {label}": [sorted(b.terms.items()) for b in basis]
-                for label, basis in split.blocks}
+                for label, _, basis in split.blocks}
 
     def stabilizer(form):
         return {"stabilizer": [
@@ -507,15 +507,33 @@ def test_anti_self_dual_block_is_the_kernel_of_the_star_plus_one():
 
 
 # ---------------------------------------------------------------------------
-# oracles: the operator matrix of *(psi ^ .) and the 70-column 4-form path
+# oracles: the operator matrix of C_r(psi) and the 70-column 4-form path
 # ---------------------------------------------------------------------------
 
-def _star_wedge_by_operator_matrix(psi, r):
-    """The rows of a -> *(psi ^ a) from ``wedge`` and ``hodge_star``
-    images of the monomials."""
+def _contraction(psi, a):
+    """C_r(psi)(a) = sum_(m<k) (e_m ^ e_k -| psi) ^ (e_m ^ e_k -| a), from
+    ``contract`` and ``wedge``."""
     n = psi.dimension
-    return splits.operator_matrix(lambda a: hodge_star(wedge(psi, a)),
-                                  n, r, n - psi.degree - r)
+    total = Multivector.zero(n, psi.degree + a.degree - 4)
+    for m, k in itertools.combinations(range(1, n + 1), 2):
+        total = total + wedge(contract(k, contract(m, psi)),
+                              contract(k, contract(m, a)))
+    return total
+
+
+def _contraction_by_operator_matrix(psi, r):
+    """The rows of C_r(psi) from ``_contraction`` of the monomials."""
+    return splits.operator_matrix(lambda a: _contraction(psi, a),
+                                  psi.dimension, r, psi.degree + r - 4)
+
+
+def _star_wedge_by_operator_matrix(psi, r):
+    """The rows of a -> (-1)^(s (n - s)) *( *psi ^ a), s the degree of psi,
+    from ``wedge`` and ``hodge_star`` images of the monomials."""
+    n, s = psi.dimension, psi.degree
+    sign = (-1) ** (s * (n - s))
+    return splits.operator_matrix(
+        lambda a: sign * hodge_star(wedge(hodge_star(psi), a)), n, r, s - r)
 
 
 def _exact_rows(rows):
@@ -526,14 +544,24 @@ def _exact_rows(rows):
 NOT_SELF_DUAL = Multivector.from_terms(
     8, [((1, 2, 3, 4), Fraction(1)), ((1, 3, 5, 7), Fraction(-2, 3)),
         ((2, 4, 6, 8), Fraction(5, 7))])
+CONTRACTED = [PHI, *ROTATED, su4_forms()[1], NOT_SELF_DUAL]
+CONTRACTED_IDS = ["cayley", "g1", "g2", "g3", "re_theta", "not_self_dual"]
 
 
-@pytest.mark.parametrize("psi", [PHI, *ROTATED, su4_forms()[1],
-                                 NOT_SELF_DUAL],
-                         ids=["cayley", "g1", "g2", "g3", "re_theta",
-                              "not_self_dual"])
+@pytest.mark.parametrize("r", [2, 3, 4])
+@pytest.mark.parametrize("psi", CONTRACTED, ids=CONTRACTED_IDS)
+def test_contraction_matrix_is_the_operator_matrix(psi, r):
+    assert (_exact_rows(splits.contraction_matrix(psi, r))
+            == _exact_rows(_contraction_by_operator_matrix(psi, r)))
+
+
+# on 2-forms C_2(psi) is the star-wedge operator a -> *( *psi ^ a) of the
+# 4-forms on R^8 and of the 3-forms on R^7, and up to a sign in general
+
+@pytest.mark.parametrize("psi", [*CONTRACTED, g2_phi()],
+                         ids=[*CONTRACTED_IDS, "g2_phi"])
 def test_star_wedge_matrix_is_the_operator_matrix(psi):
-    assert (_exact_rows(splits.star_wedge_matrix(psi, 2))
+    assert (_exact_rows(splits.contraction_matrix(psi, 2))
             == _exact_rows(_star_wedge_by_operator_matrix(psi, 2)))
 
 
@@ -549,12 +577,33 @@ def forms_and_degrees(draw):
     return Multivector(n, s, terms), r
 
 
-@settings(max_examples=80, deadline=None)
-@given(forms_and_degrees())
-def test_star_wedge_matrix_is_the_operator_matrix_on_random_forms(case):
+@st.composite
+def contracted_forms_and_degrees(draw):
+    """A rational form psi of degree s >= 2 on R^n, and a degree r >= 2
+    with 0 <= s + r - 4 <= n."""
+    n = draw(st.integers(min_value=2, max_value=8))
+    s = draw(st.integers(min_value=2, max_value=n))
+    r = draw(st.integers(min_value=max(2, 4 - s),
+                         max_value=min(n, n + 4 - s)))
+    terms = draw(st.dictionaries(st.sampled_from(splits.monomial_masks(n, s)),
+                                 rationals, max_size=12))
+    return Multivector(n, s, terms), r
+
+
+@settings(max_examples=60, deadline=None)
+@given(contracted_forms_and_degrees())
+def test_contraction_matrix_is_the_operator_matrix_on_random_forms(case):
     psi, r = case
-    assert (_exact_rows(splits.star_wedge_matrix(psi, r))
-            == _exact_rows(_star_wedge_by_operator_matrix(psi, r)))
+    assert (_exact_rows(splits.contraction_matrix(psi, r))
+            == _exact_rows(_contraction_by_operator_matrix(psi, r)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(contracted_forms_and_degrees())
+def test_star_wedge_matrix_is_the_operator_matrix_on_random_forms(case):
+    psi, _ = case
+    assert (_exact_rows(splits.contraction_matrix(psi, 2))
+            == _exact_rows(_star_wedge_by_operator_matrix(psi, 2)))
 
 
 @settings(max_examples=40, deadline=None)
@@ -562,8 +611,62 @@ def test_star_wedge_matrix_is_the_operator_matrix_on_random_forms(case):
                        rationals, min_size=1, max_size=20))
 def test_star_wedge_matrix_of_a_rational_4_form(terms):
     psi = Multivector(8, 4, terms)
-    assert (_exact_rows(splits.star_wedge_matrix(psi, 2))
+    assert (_exact_rows(splits.contraction_matrix(psi, 2))
             == _exact_rows(_star_wedge_by_operator_matrix(psi, 2)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.dictionaries(st.sampled_from(splits.monomial_masks(7, 3)),
+                       rationals, min_size=1, max_size=20))
+def test_star_wedge_matrix_of_a_rational_3_form(terms):
+    psi = Multivector(7, 3, terms)
+    assert (_exact_rows(splits.contraction_matrix(psi, 2))
+            == _exact_rows(_star_wedge_by_operator_matrix(psi, 2)))
+
+
+def _seeded_self_dual_form(seed):
+    """a + *a for a seeded rational 4-form a on R^8 with about half of its
+    coefficients nonzero."""
+    rng = random.Random(seed)
+    a = Multivector(8, 4, {m: Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                           for m in splits.monomial_masks(8, 4)
+                           if rng.random() < 0.5})
+    return a + hodge_star(a)
+
+
+def _apply(rows, a):
+    """The rows applied to the coefficients of the form ``a``."""
+    n, r = a.dimension, a.degree
+    v = a.terms
+    return Multivector(n, r, {
+        m: sum((Fraction(x, d) * v[k] for k, x in entries if k in v),
+               Fraction(0))
+        for m, (entries, d) in zip(splits.monomial_masks(n, r), rows)})
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_contraction_matrices_of_a_self_dual_form(seed):
+    # the facts behind the eigenvalue labels of the splits and their
+    # premise: each holds exactly on random self-dual psi
+    psi = _seeded_self_dual_form(seed)
+    assert hodge_star(psi) == psi and not psi.is_zero()
+    for r, scale in ((2, 6), (3, 24), (4, 36)):
+        masks = splits.monomial_masks(8, r)
+        rows = dict(zip(masks, _exact_rows(splits.contraction_matrix(psi, r))))
+        # symmetric with zero diagonal
+        assert all(m not in row for m, row in rows.items())
+        assert all(rows[k].get(m) == x for m, row in rows.items()
+                   for k, x in row.items())
+        assert (sum(x * x for row in rows.values() for x in row.values())
+                == scale * inner(psi, psi))
+    c4 = splits.contraction_matrix(psi, 4)
+    for b in splits._anti_self_dual_block():
+        assert _apply(c4, b).is_zero()
+    image = _apply(c4, psi)
+    c3 = splits.contraction_matrix(psi, 3)
+    for i in range(1, 9):
+        assert _apply(c3, contract(i, psi)) == Fraction(1, 2) * contract(
+            i, image)
 
 
 def _four_form_blocks_on_all_columns(phi):
@@ -649,12 +752,73 @@ def test_project_rejects_a_form_of_another_dimension_or_degree():
         split.project("7", PHI)
 
 
-def test_project_rejects_a_dependent_basis():
-    split = splits.two_form_split(PHI)
-    b = split.basis("7")[0]
-    doubled = splits.TypeSplit(8, 2, PHI, (("7", (b, 2 * b)),))
-    with pytest.raises(ValueError, match="not linearly independent"):
-        doubled.project("7", b)
+def _gram_projection(split, label, a):
+    """The reference projection of ``a`` onto a block, by its Gram system.
+
+    Over the numerators U, V of the basis forms and A of ``a``, the
+    projection is sum_V z_V V / (denominator of a), where z solves the
+    integer Gram system sum_V (U.V) z_V = U.A; one ``echelon`` call on the
+    augmented rows solves it."""
+    basis = [b.numerators for b in split.basis(label)]
+    k = len(basis)
+
+    def dot(u, v):
+        return sum(x * v[m] for m, x in u.items() if m in v)
+
+    rows = [([(j, g) for j, v in enumerate([*basis, a.numerators])
+              if (g := dot(u, v))], 1) for u in basis]
+    reduced, pivots = linalg.echelon(rows)
+    assert pivots == list(range(k))  # the basis is independent
+    acc = {}
+    for (entries, _), v in zip(reduced, basis):
+        j, z = entries[-1]  # the augmented column is the last
+        if j == k:
+            for m, x in v.items():
+                acc[m] = acc.get(m, 0) + z * x
+    scale = reduced[0][1] if reduced else 1  # shared by the rows
+    return Multivector(split.dimension, split.degree,
+                       {m: Fraction(x, scale * a.denominator)
+                        for m, x in acc.items()})
+
+
+def _every_split(name):
+    """The splits that ``TypeSplit.project`` serves, by name."""
+    if name == "su4":
+        omega, re_theta, _ = su4_forms()
+        return [splits.su4_two_form_refinement(omega, re_theta)]
+    if name == "cylinder":
+        return [splits.cylinder_two_form_types(splits.two_form_split(
+            cylinder_form(g2_phi()))).split]
+    phi = {"cayley": PHI, "g1": ROTATED[0], "g2": ROTATED[1],
+           "g3": ROTATED[2]}[name]
+    return [splits.two_form_split(phi), splits.three_form_split(phi),
+            splits.four_form_split(phi)]
+
+
+@pytest.mark.parametrize("name", ["cayley", "g1", "g2", "g3", "su4",
+                                  "cylinder"])
+def test_blocks_are_eigenspaces_of_the_contraction(name):
+    for split in _every_split(name):
+        rows = splits.contraction_matrix(split.phi, split.degree)
+        for _, eigenvalue, basis in split.blocks:
+            for b in basis:
+                assert _apply(rows, b) == eigenvalue * b
+
+
+@pytest.mark.parametrize("name", ["cayley", "g1", "g2", "g3", "su4",
+                                  "cylinder"])
+def test_lagrange_projections_equal_the_gram_projections(name):
+    for split in _every_split(name):
+        for seed in range(2):
+            rng = random.Random(seed)
+            sample = Multivector(split.dimension, split.degree, {
+                m: Fraction(rng.randint(-5, 5), rng.randint(1, 6))
+                for m in splits.monomial_masks(split.dimension, split.degree)
+                if rng.random() < 0.4})
+            parts = [split.project(label, sample) for label in split.labels]
+            assert parts == [_gram_projection(split, label, sample)
+                             for label in split.labels]
+            assert sum(parts, Multivector.zero(8, split.degree)) == sample
 
 
 # a rational g that is not orthogonal: det g = 2/3
@@ -683,13 +847,51 @@ SPLIT_SIGNATURE = Multivector(8, 4, {
     m: -c if (m >> 4).bit_count() == 2 else c for m, c in PHI.terms.items()})
 
 
-@pytest.mark.parametrize("phi", [SELF_DUAL_NOT_ADMISSIBLE, SPLIT_SIGNATURE],
-                         ids=["plus-dx1234-dx5678", "split-signature"])
-def test_three_form_split_keeps_self_dual_non_admissible_forms(phi):
-    # the premise is self-duality; telling these forms from an admissible
-    # one needs the metric that Phi induces, which is not computed here
+PREMISE_MESSAGE = ("form not admissible: Phi must have |Phi|^2 = 14 and "
+                   "C_4(Phi)(Phi) = 12 Phi")
+# self-dual 4-forms outside the orbit of the Cayley form
+NOT_ADMISSIBLE = {"plus-dx1234-dx5678": SELF_DUAL_NOT_ADMISSIBLE,
+                  "split-signature": SPLIT_SIGNATURE,
+                  "minus-phi": -1 * PHI, "twice-phi": 2 * PHI}
+
+
+@pytest.mark.parametrize("split", [splits.two_form_split,
+                                   splits.three_form_split,
+                                   splits.four_form_split],
+                         ids=["2-form", "3-form", "4-form"])
+@pytest.mark.parametrize("phi", list(NOT_ADMISSIBLE.values()),
+                         ids=list(NOT_ADMISSIBLE))
+def test_every_split_rejects_self_dual_non_admissible_forms(split, phi):
     assert hodge_star(phi) == phi
-    assert splits.three_form_split(phi).ranks == (8, 48)
+    with pytest.raises(splits.AdmissibilityError):
+        split(phi)
+
+
+@pytest.mark.parametrize("split", [splits.two_form_split,
+                                   splits.three_form_split,
+                                   splits.four_form_split],
+                         ids=["2-form", "3-form", "4-form"])
+def test_every_split_rejects_the_anti_self_dual_cayley_form(split):
+    # the Cayley form with dx_1 reversed: C_2 has the spectrum of C_2(Phi),
+    # but *(Phi ^ .) = -C_2
+    reversed_phi = Multivector(8, 4, {m: -c if m & 1 else c
+                                      for m, c in PHI.terms.items()})
+    assert hodge_star(reversed_phi) == -1 * reversed_phi
+    with pytest.raises(splits.AdmissibilityError) as error:
+        split(reversed_phi)
+    assert str(error.value) == NOT_SELF_DUAL_MESSAGE
+
+
+@pytest.mark.parametrize("phi", list(NOT_ADMISSIBLE.values()),
+                         ids=list(NOT_ADMISSIBLE))
+def test_three_form_split_rejects_self_dual_non_admissible_forms(phi):
+    # the rank of the contractions v -| Phi is 8 for these forms too; the
+    # premise |Phi|^2 = 14, C_4(Phi)(Phi) = 12 Phi tells them apart
+    assert len(splits._complement([contract(i, phi)
+                                   for i in range(1, 9)])) == 48
+    with pytest.raises(splits.AdmissibilityError) as error:
+        splits.three_form_split(phi)
+    assert str(error.value) == PREMISE_MESSAGE
 
 
 # ---------------------------------------------------------------------------
