@@ -6,7 +6,16 @@ C_r(psi): a -> sum_(m<k) (e_m ^ e_k -| psi) ^ (e_m ^ e_k -| a),
 whose integer eigenvalues label the blocks; ``TypeSplit.project`` is a
 Lagrange polynomial of it.  The metric is the Euclidean one: the 3- and
 4-form splits check that Phi is self-dual and meets the premise of
-``_require_admissible``, and raise ``AdmissibilityError`` otherwise.
+``_admissible``, and raise ``AdmissibilityError`` otherwise.
+
+A split function checks every rank, and raises every
+``AdmissibilityError``, when it builds the split; a block's basis is
+built on its first read.  Where a rank needs an elimination, it is the
+smallest one the spectrum allows: C_r is symmetric with trace 0 and a
+known norm, so once the known blocks are eigenspaces of the right ranks,
+the eigenvalues left are forced (see ``TypeSplit``).  The 2-form split
+reduces the 28 rows of C_2(Phi) + 1 to 7 pivots, and the 4-form split
+the 7 images of Phi under e_1 ^ e_j instead of all 28 of so(8).
 
 Cached tables of +-1 entries per monomial, keyed by (n, mask), make every
 matrix entry plus or minus a coefficient of the form:
@@ -23,7 +32,8 @@ works on.  The stabilizer is kept as kernel rows, column i*n + j for E_ij.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections.abc import Callable, Sequence
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -198,32 +208,63 @@ def infinitesimal_action(A: Matrix, form: Multivector) -> Multivector:
 # type splits
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TypeSplit:
     """An orthogonal decomposition of Lambda^r(R^n) into labeled blocks:
     each block is the eigenspace of C_r(phi) for the eigenvalue stored
     beside its label.  C_r(phi) is symmetric with zero diagonal and
     |C_r(phi)|^2 = (6, 24, 36) |phi|^2 for r = 2, 3, 4 on R^8, so when the
     k eigenvalues left after the known blocks have the sum k mu and the
-    sum of squares k mu^2, the complement is the mu-eigenspace."""
+    sum of squares k mu^2, the complement is the mu-eigenspace.  The same
+    argument forces whole spectra from one small elimination:
+
+    - on 2-forms, with |phi|^2 = 14, C_2 + 1 of rank 7 leaves 7
+      eigenvalues besides the 21-fold -1, with the sum 21 and squares
+      summing to 84 - 21 = 63 = 7 * 3^2: the spectrum is {3^7, -1^21};
+    - on 4-forms, with phi a 12-eigenvector, the 35 anti-self-dual forms
+      0-eigenvectors and 7 independent 6-eigenvectors, the 27 eigenvalues
+      left sum to -54 with squares summing to 504 - 144 - 252 = 108, and
+      (-54)^2 = 27 * 108 is the equality case of Cauchy-Schwarz: they are
+      all -2, and the multiplicities are (1, 7, 35, 27).
+
+    The split functions check every rank when they build a split, so
+    ``ranks`` reads no basis.  ``specs`` holds (label, eigenvalue, rank,
+    build) per block, and ``build(split)`` returns the block's basis.  A
+    basis, and C_r(phi) for ``project``, is built on its first read and
+    kept.  Splits compare by identity, since ``build`` is a function."""
 
     dimension: int
     degree: int
     phi: Multivector
-    blocks: tuple[tuple[str, int, tuple[Multivector, ...]], ...]
+    specs: tuple[tuple[str, int, int,
+                       Callable[[TypeSplit], Sequence[Multivector]]], ...]
+    # label -> basis, and None -> the rows of C_r(phi)
+    _built: dict = field(default_factory=dict, init=False, repr=False)
+
+    def _read(self, key, build):
+        """The value kept under ``key``, from ``build()`` on the first read."""
+        if key not in self._built:
+            self._built[key] = build()
+        return self._built[key]
 
     @property
     def ranks(self) -> tuple[int, ...]:
-        return tuple(len(basis) for _, _, basis in self.blocks)
+        return tuple(rank for _, _, rank, _ in self.specs)
 
     @property
     def labels(self) -> tuple[str, ...]:
-        return tuple(label for label, _, _ in self.blocks)
+        return tuple(label for label, _, _, _ in self.specs)
+
+    @property
+    def blocks(self) -> tuple[tuple[str, int, tuple[Multivector, ...]], ...]:
+        """(label, eigenvalue, basis) per block, every basis built."""
+        return tuple((label, eigenvalue, self.basis(label))
+                     for label, eigenvalue, _, _ in self.specs)
 
     def basis(self, label: str) -> tuple[Multivector, ...]:
-        for block_label, _, block_basis in self.blocks:
+        for block_label, _, _, build in self.specs:
             if block_label == label:
-                return block_basis
+                return self._read(label, lambda: tuple(build(self)))
         raise KeyError(f"no block labeled {label!r}")
 
     def project(self, label: str, a: Multivector) -> Multivector:
@@ -237,9 +278,11 @@ class TypeSplit:
             raise ValueError(
                 f"expected a form with (n, r) = ({self.dimension}, "
                 f"{self.degree}); got ({a.dimension}, {a.degree})")
-        eigenvalues = {block[0]: block[1] for block in self.blocks}
+        eigenvalues = {block_label: eigenvalue
+                       for block_label, eigenvalue, _, _ in self.specs}
         eigenvalue = eigenvalues.pop(label)
-        rows = contraction_matrix(self.phi, self.degree)
+        rows = self._read(
+            None, lambda: contraction_matrix(self.phi, self.degree))
         d = self.phi.denominator
         v, scale = a.numerators, a.denominator
         for mu in eigenvalues.values():  # (C_r - mu) v gains the factor d
@@ -262,7 +305,7 @@ def _eigenspace(matrix: list[Row], eigenvalue: int) -> list[Multivector]:
          for m, (entries, d) in zip(masks[::-1], matrix[::-1])], masks)]
 
 
-def _complement(forms: list[Multivector]) -> list[Multivector]:
+def _complement(forms: Sequence[Multivector]) -> list[Multivector]:
     """Basis of the orthogonal complement of the span of equal-degree forms."""
     n, r = forms[0].dimension, forms[0].degree
     rows = [to_coords(f) for f in forms]
@@ -276,27 +319,41 @@ _NOT_SELF_DUAL = ("form not admissible here: Phi must be self-dual for the "
 
 def two_form_split(phi: Multivector) -> TypeSplit:
     """Split 2-forms on R^8 by the eigenvalues {3, -1} of C_2(Phi), that is
-    of a -> *( *Phi ^ a) = *(Phi ^ a), into ranks (7, 21).
+    of a -> *( *Phi ^ a), into ranks (7, 21).
 
-    With a 3-eigenspace of rank 7 and |Phi|^2 = 14, the 21 eigenvalues
-    left sum to -21 with squares summing to 21.  Phi must be self-dual,
-    checked after the ranks."""
+    The rank-7 block is the row space of C_2(Phi) + 1: with |Phi|^2 = 14,
+    rank 7 forces the spectrum {3^7, -1^21} (see ``TypeSplit``), so the
+    row space is the 3-eigenspace.  The pivots of a reduced basis taken
+    from the right are the free columns of the reduction of its
+    orthogonal complement from the left, so one ``echelon`` of the 28 rows
+    of C_2(Phi) + 1, run with the columns in reverse order, gives the
+    kernel basis of C_2(Phi) - 3.  The rank-21 block is the orthogonal
+    complement.  Phi must be self-dual, checked after the ranks."""
     if phi.dimension != 8 or phi.degree != 4:
         raise ValueError("expected a 4-form on R^8")
+    masks = monomial_masks(8, 2)
     matrix = contraction_matrix(phi, 2)
-    e3 = _eigenspace(matrix, 3)
-    if len(e3) != 7 or inner(phi, phi) != 14:
-        em1 = _eigenspace(matrix, -1)  # only to name its rank
+    # the column of dx_m is keyed 255 - m, so pivots are taken from the right
+    rows = linalg.echelon([
+        ([(255 - k, x) for k, x in entries] + [(255 - m, d)], d)
+        for m, (entries, d) in zip(masks, matrix)])[0]
+    if len(rows) != 7 or inner(phi, phi) != 14:
+        rank3 = len(_eigenspace(matrix, 3))  # only to name its rank
         raise AdmissibilityError(
-            "form not admissible: the 2-form operator *(Phi ^ .) does not "
-            f"have eigenspace ranks (7, 21); found ({len(e3)}, {len(em1)})")
+            "form not admissible: the 2-form operator C_2(Phi) = "
+            "*( *Phi ^ .) does not have eigenspace ranks (7, 21); found "
+            f"({rank3}, {28 - len(rows)})")
     if hodge_star(phi) != phi:
         raise AdmissibilityError(_NOT_SELF_DUAL)
-    return TypeSplit(8, 2, phi, (("7", 3, tuple(e3)),
-                                 ("21", -1, tuple(_complement(e3)))))
+    # the rows and their entries back in increasing mask order
+    block7 = [([(255 - k, x) for k, x in reversed(entries)], d)
+              for entries, d in reversed(rows)]
+    return TypeSplit(8, 2, phi, (
+        ("7", 3, 7, lambda _: [from_coords(v, 8, 2) for v in block7]),
+        ("21", -1, 21, lambda split: _complement(split.basis("7")))))
 
 
-def _require_admissible(phi: Multivector) -> None:
+def _admissible(phi: Multivector) -> bool:
     """The premise of the 3- and 4-form splits, for a self-dual Phi:
     |Phi|^2 = 14 and C_4(Phi)(Phi) = 12 Phi.  C_4 is so(8)-equivariant and
     symmetric in its two 4-forms, so so(8).Phi is then in the 6-eigenspace
@@ -312,32 +369,36 @@ def _require_admissible(phi: Multivector) -> None:
                 if row & 128 and col in v:
                     x = c * v[col]
                     half[row] = half.get(row, 0) + (-x if negated else x)
-    if (sum(x * x for x in v.values()) != 14 * d * d
-            or any(half.get(m, 0) != 6 * d * v.get(m, 0)
-                   for m in monomial_masks(8, 4) if m & 128)):
-        raise AdmissibilityError(
-            "form not admissible: Phi must have |Phi|^2 = 14 and "
-            "C_4(Phi)(Phi) = 12 Phi")
+    return (sum(x * x for x in v.values()) == 14 * d * d
+            and all(half.get(m, 0) == 6 * d * v.get(m, 0)
+                    for m in monomial_masks(8, 4) if m & 128))
+
+
+_NOT_ADMISSIBLE = ("form not admissible: Phi must have |Phi|^2 = 14 and "
+                   "C_4(Phi)(Phi) = 12 Phi")
 
 
 def three_form_split(phi: Multivector) -> TypeSplit:
     """Split 3-forms on R^8 into {v -| Phi} and its orthogonal complement,
-    of ranks (8, 48), the eigenspaces of C_3(Phi) for 6 and -1: under the
-    premise of ``_require_admissible`` the 48 eigenvalues left sum to -48
-    with squares summing to 48."""
+    of ranks (8, 48), the eigenspaces of C_3(Phi) for 6 and -1.  Under the
+    premise of ``_admissible`` the contractions are 6-eigenvectors; once
+    one ``echelon`` finds the 8 of them independent, the 48 eigenvalues
+    left sum to -48 with squares summing to 336 - 8 * 36 = 48, so all are
+    -1."""
     if phi.dimension != 8 or phi.degree != 4:
         raise ValueError("expected a 4-form on R^8")
     if hodge_star(phi) != phi:
         raise AdmissibilityError(_NOT_SELF_DUAL)
-    _require_admissible(phi)
+    if not _admissible(phi):
+        raise AdmissibilityError(_NOT_ADMISSIBLE)
     contractions = [contract(i, phi) for i in range(1, 9)]
-    complement = _complement(contractions)
-    if len(complement) != 48:  # the contractions span 56 - 48 = 8 dimensions
+    if len(linalg.echelon([to_coords(c) for c in contractions])[1]) != 8:
         raise AdmissibilityError(
             "form not admissible: contractions v -| Phi do not span an "
             "8-dimensional space")
-    return TypeSplit(8, 3, phi, (("8", 6, tuple(contractions)),
-                                 ("48", -1, tuple(complement))))
+    return TypeSplit(8, 3, phi, (
+        ("8", 6, 8, lambda _: contractions),
+        ("48", -1, 48, lambda split: _complement(split.basis("8")))))
 
 
 @lru_cache(maxsize=1)
@@ -352,6 +413,19 @@ def _anti_self_dual_block() -> tuple[Multivector, ...]:
         for m in monomial_masks(8, 4) if m & 128)
 
 
+def _orbit_rows(phi: Multivector, count: int) -> list[Row]:
+    """The images of Phi under the first ``count`` generators of so(8), in
+    ``_monomial_rotation`` order, on the masks without dx_8.  The first 7
+    are e_1 ^ e_j for j = 2, ..., 8."""
+    rows: list[Row] = [([], phi.denominator) for _ in range(count)]
+    for mask, c in phi.numerators.items():
+        pair = (c, -c)
+        for generator, row, negated in _monomial_rotation(8, mask):
+            if generator < count and not row & 128:
+                rows[generator][0].append((row, pair[negated]))
+    return rows
+
+
 def four_form_split(phi: Multivector) -> TypeSplit:
     """Split 4-forms on R^8 into ranks (1, 7, 27, 35), the eigenspaces of
     C_4(Phi) for 12, 6, -2 and 0.
@@ -359,10 +433,14 @@ def four_form_split(phi: Multivector) -> TypeSplit:
     The rank-1 block is spanned by Phi, the rank-7 block is the tangent
     space so(8).Phi of the rotation orbit, the rank-35 block consists of
     the anti-self-dual forms, and the rank-27 block is the orthogonal
-    complement of the rest: under the premise of ``_require_admissible``
-    its 27 eigenvalues sum to -54 with squares summing to 108.  Phi is
-    self-dual, so the rank-1, 7 and 27 blocks are, and each is computed
-    on one half of the columns and extended by the star."""
+    complement of the rest.  Only the 7 images of Phi under e_1 ^ e_j are
+    eliminated: under the premise of ``_admissible``, Phi is a
+    12-eigenvector, the anti-self-dual forms are 0-eigenvectors and so(8)
+    maps Phi into the 6-eigenspace, so 7 independent images there force
+    the multiplicities (1, 7, 35, 27) (see ``TypeSplit``) and span
+    so(8).Phi, the whole 6-eigenspace.  Phi is self-dual, so the
+    rank-1, 7 and 27 blocks are, and each is computed on one half of the
+    columns and extended by the star."""
     if phi.dimension != 8 or phi.degree != 4:
         raise ValueError("expected a 4-form on R^8")
     if hodge_star(phi) != phi:
@@ -371,33 +449,37 @@ def four_form_split(phi: Multivector) -> TypeSplit:
     # so(8) commutes with *, so the images of Phi and their reduced rows
     # are self-dual, with pivots among the masks without dx_8: eliminating
     # there and extending by * gives the reduced rows of all 70 columns
-    low: list[Row] = [([], phi.denominator) for _ in range(28)]
-    for mask, c in phi.numerators.items():
-        pair = (c, -c)
-        for generator, row, negated in _monomial_rotation(8, mask):
-            if not row & 128:
-                low[generator][0].append((row, pair[negated]))
-    rows7 = [_self_dual(v) for v in linalg.echelon(low)[0]]
-    block7 = [from_coords(v, 8, 4) for v in rows7]
-    if len(block7) != 7:
-        raise AdmissibilityError(
-            f"form not admissible: so(8).Phi has rank {len(block7)}, not 7")
-    _require_admissible(phi)  # so Phi is orthogonal to the 6-eigenvectors
+    reduced = linalg.echelon(_orbit_rows(phi, 7))[0]
+    admissible = _admissible(phi)
+    if len(reduced) != 7 or not admissible:
+        # the whole orbit, to name its rank.  A form that passes both
+        # checks below has an orbit of rank 7 in the 6-eigenspace, which
+        # forces the spectrum as 7 independent images would
+        reduced = linalg.echelon(_orbit_rows(phi, 28))[0]
+        if len(reduced) != 7:
+            raise AdmissibilityError(
+                f"form not admissible: so(8).Phi has rank {len(reduced)}, "
+                "not 7")
+        if not admissible:
+            raise AdmissibilityError(_NOT_ADMISSIBLE)
 
-    # the rank-27 block is the self-dual v orthogonal to Phi and rows7, and
-    # for self-dual a, <a, v> is twice sum a_m v_m over the masks with dx_8.
-    # A kernel's free columns are picked greedily from the right, so this
-    # kernel has the free columns, and the basis, of the 70-column one
-    high = [([(m, x) for m, x in entries if m & 128], 1)
-            for entries, _ in [to_coords(phi), *rows7]]
-    block27 = [from_coords(_self_dual(v), 8, 4)
-               for v in linalg.kernel(high, [m for m in monomial_masks(8, 4)
-                                             if m & 128])]
+    def block27(split: TypeSplit) -> list[Multivector]:
+        # the self-dual v orthogonal to Phi and the rank-7 block, and for
+        # self-dual a, <a, v> is twice sum a_m v_m over the masks with dx_8.
+        # A kernel's free columns are picked greedily from the right, so
+        # this kernel has the free columns, and the basis, of the
+        # 70-column one
+        high = [([(m, x) for m, x in entries if m & 128], 1)
+                for entries, _ in map(to_coords, (phi, *split.basis("7")))]
+        return [from_coords(_self_dual(v), 8, 4) for v in linalg.kernel(
+            high, [m for m in monomial_masks(8, 4) if m & 128])]
+
     return TypeSplit(8, 4, phi, (
-        ("1", 12, (phi,)),
-        ("7", 6, tuple(block7)),
-        ("27", -2, tuple(block27)),
-        ("35", 0, _anti_self_dual_block()),
+        ("1", 12, 1, lambda _: (phi,)),
+        ("7", 6, 7, lambda _: [from_coords(_self_dual(v), 8, 4)
+                               for v in reduced]),
+        ("27", -2, 27, block27),
+        ("35", 0, 35, lambda _: _anti_self_dual_block()),
     ))
 
 
@@ -408,8 +490,9 @@ def su4_two_form_refinement(omega: Multivector,
     2 Re theta.
 
     The rank-1 block is spanned by omega, and the rank-15 block is the
-    complement of the rest: with C_2(psi) omega = 3 omega and |psi|^2 =
-    38 its 15 eigenvalues sum to -15 with squares summing to 15."""
+    complement of the rest: with a nonzero omega as a 3-eigenvector and
+    |psi|^2 = 38 its 15 eigenvalues sum to -15 with squares summing to
+    15."""
     if omega.dimension != 8 or omega.degree != 2:
         raise ValueError("expected the Kaehler 2-form on R^8")
     if re_theta.dimension != 8 or re_theta.degree != 4:
@@ -417,20 +500,19 @@ def su4_two_form_refinement(omega: Multivector,
     psi = wedge(omega, omega) * Fraction(1, 2) + 2 * re_theta
     matrix = contraction_matrix(psi, 2)
     plus, minus = _eigenspace(matrix, 5), _eigenspace(matrix, -3)
-    rest = _complement([omega, *plus, *minus])
     # C_2(psi) omega = *( *psi ^ omega)
-    if (hodge_star(wedge(hodge_star(psi), omega)) != 3 * omega
-            or inner(psi, psi) != 38 or len(rest) != 15
-            or (len(plus), len(minus)) != (6, 6)):
+    if (omega.is_zero()
+            or hodge_star(wedge(hodge_star(psi), omega)) != 3 * omega
+            or inner(psi, psi) != 38 or (len(plus), len(minus)) != (6, 6)):
         raise AdmissibilityError(
             "eigenvalue structure violated: C_2(omega^2/2 + 2 Re theta) "
             "needs the norm sqrt(38), omega as a 3-eigenvector and 5- and "
             f"-3-eigenspaces of ranks ({len(plus)}, {len(minus)}) = (6, 6)")
     return TypeSplit(8, 2, psi, (
-        ("1", 3, (omega,)),
-        ("6+", 5, tuple(plus)),
-        ("6-", -3, tuple(minus)),
-        ("15", -1, tuple(rest)),
+        ("1", 3, 1, lambda _: (omega,)),
+        ("6+", 5, 6, lambda _: plus),
+        ("6-", -3, 6, lambda _: minus),
+        ("15", -1, 15, lambda _: _complement([omega, *plus, *minus])),
     ))
 
 
@@ -514,17 +596,24 @@ def cylinder_two_form_types(split: TypeSplit) -> CylinderTypes:
             "the 4-form is not the cylinder form of its dt factor")
     seven, twentyone, hats = _cylinder_rows(phi)
 
-    def rank(rows: list[Row]) -> int:
-        return len(linalg.echelon(rows)[1])
+    def meets(rows: list[Row], vectors: list[dict[int, int]]) -> bool:
+        """Some row is not orthogonal to some vector."""
+        return any(sum(x * v.get(m, 0) for m, x in entries)
+                   for entries, _ in rows for v in vectors)
 
-    # the eigenspace bases are independent, so the parameterization stays
-    # inside a block exactly when stacking it on the basis keeps the rank
-    if rank([*map(to_coords, split.basis("7")), *seven]) != 7:
+    # the blocks are orthogonal complements, so a row lies in one block
+    # exactly when it is orthogonal to the other.  Each rank-21 row holds
+    # -d at its own mask without dt, so the rank-21 rows are independent
+    # and, once orthogonal to the rank-7 block, span the rank-21 block
+    spans21 = not meets(twentyone, [b.numerators for b in split.basis("7")])
+    block21 = ([dict(entries) for entries, _ in twentyone] if spans21
+               else [b.numerators for b in split.basis("21")])
+    if meets(seven, block21):
         raise AdmissibilityError(
             "rank-7 parameterization leaves the eigenspace split")
-    if rank(seven) != 7:
+    if len(linalg.echelon(seven)[1]) != 7:
         raise AdmissibilityError("rank-7 parameterization is degenerate")
-    if rank([*map(to_coords, split.basis("21")), *twentyone]) != 21:
+    if not spans21:
         raise AdmissibilityError(
             "rank-21 parameterization leaves the eigenspace split")
     # the 1-form *( *phi ^ (v -| phi) ) must equal scale * v-flat
@@ -538,6 +627,6 @@ def cylinder_two_form_types(split: TypeSplit) -> CylinderTypes:
         raise AdmissibilityError(
             "contraction map scale differs between directions")
     return CylinderTypes(split=TypeSplit(8, 2, split.phi, (
-        ("7", 3, tuple(from_coords(v, 8, 2) for v in seven)),
-        ("21", -1, split.basis("21")))),
+        ("7", 3, 7, lambda _: [from_coords(v, 8, 2) for v in seven]),
+        ("21", -1, 21, lambda _: split.basis("21")))),
         iso_scale=scales[0])

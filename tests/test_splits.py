@@ -1,5 +1,6 @@
 """Exact type decompositions, stabilizers, and cylinder parameterizations."""
 
+import dataclasses
 import hashlib
 import itertools
 import random
@@ -310,8 +311,7 @@ def test_cylinder_two_form_types_rejects_a_non_cylinder_form():
     flipped = Multivector(8, 4, {m: -c if m & 1 else c
                                  for m, c in PHI.terms.items()})
     with pytest.raises(splits.AdmissibilityError, match="cylinder form"):
-        splits.cylinder_two_form_types(
-            splits.TypeSplit(8, 2, flipped, split.blocks))
+        splits.cylinder_two_form_types(dataclasses.replace(split, phi=flipped))
 
 
 def test_type_split_rejects_unknown_label():
@@ -722,21 +722,25 @@ SELF_DUAL_NOT_ADMISSIBLE = (PHI + Multivector.monomial(8, [1, 2, 3, 4])
 
 NOT_SELF_DUAL_MESSAGE = ("form not admissible here: Phi must be self-dual "
                          "for the Euclidean metric")
+PREMISE_MESSAGE = ("form not admissible: Phi must have |Phi|^2 = 14 and "
+                   "C_4(Phi)(Phi) = 12 Phi")
 
 
 @pytest.mark.parametrize("split, phi, message", [
     (splits.two_form_split, FLIPPED,
-     "form not admissible: the 2-form operator *(Phi ^ .) does not have "
-     "eigenspace ranks (7, 21); found (4, 15)"),
+     "form not admissible: the 2-form operator C_2(Phi) = *( *Phi ^ .) does "
+     "not have eigenspace ranks (7, 21); found (4, 15)"),
     (splits.three_form_split, FLIPPED, NOT_SELF_DUAL_MESSAGE),
     (splits.four_form_split, FLIPPED, NOT_SELF_DUAL_MESSAGE),
     (splits.two_form_split, SELF_DUAL_NOT_ADMISSIBLE,
-     "form not admissible: the 2-form operator *(Phi ^ .) does not have "
-     "eigenspace ranks (7, 21); found (4, 12)"),
+     "form not admissible: the 2-form operator C_2(Phi) = *( *Phi ^ .) does "
+     "not have eigenspace ranks (7, 21); found (4, 12)"),
     (splits.four_form_split, SELF_DUAL_NOT_ADMISSIBLE,
      "form not admissible: so(8).Phi has rank 19, not 7"),
+    # C_4(0)(0) = 12 * 0 holds, so |Phi|^2 = 14 alone rejects the zero form
+    (splits.three_form_split, Multivector.zero(8, 4), PREMISE_MESSAGE),
 ], ids=["2-form-flipped", "3-form-flipped", "4-form-flipped",
-        "2-form-self-dual", "4-form-self-dual"])
+        "2-form-self-dual", "4-form-self-dual", "3-form-zero"])
 def test_non_admissible_forms_keep_their_messages(split, phi, message):
     with pytest.raises(splits.AdmissibilityError) as error:
         split(phi)
@@ -800,6 +804,8 @@ def _every_split(name):
 def test_blocks_are_eigenspaces_of_the_contraction(name):
     for split in _every_split(name):
         rows = splits.contraction_matrix(split.phi, split.degree)
+        # each basis has the rank the split checked when it was built
+        assert tuple(len(basis) for _, _, basis in split.blocks) == split.ranks
         for _, eigenvalue, basis in split.blocks:
             for b in basis:
                 assert _apply(rows, b) == eigenvalue * b
@@ -847,8 +853,6 @@ SPLIT_SIGNATURE = Multivector(8, 4, {
     m: -c if (m >> 4).bit_count() == 2 else c for m, c in PHI.terms.items()})
 
 
-PREMISE_MESSAGE = ("form not admissible: Phi must have |Phi|^2 = 14 and "
-                   "C_4(Phi)(Phi) = 12 Phi")
 # self-dual 4-forms outside the orbit of the Cayley form
 NOT_ADMISSIBLE = {"plus-dx1234-dx5678": SELF_DUAL_NOT_ADMISSIBLE,
                   "split-signature": SPLIT_SIGNATURE,
@@ -1007,3 +1011,90 @@ def test_cylinder_rows_of_the_g2_form():
                        rationals, max_size=12))
 def test_cylinder_rows_are_the_wedge_and_star_parameterization(terms):
     _assert_cylinder_rows_match(Multivector(7, 3, terms))
+
+
+# ---------------------------------------------------------------------------
+# ranks up front, bases on read, and the oracles of the cheap routes
+# ---------------------------------------------------------------------------
+
+def test_ranks_build_no_complement_and_a_basis_is_built_once(monkeypatch):
+    complement = splits._complement
+
+    def refuse(forms):
+        raise AssertionError("a complement was built")
+
+    monkeypatch.setattr(splits, "_complement", refuse)
+    built = [split for name in ("cayley", "su4", "cylinder")
+             for split in _every_split(name)]
+    assert [split.ranks for split in built] == [
+        (7, 21), (8, 48), (1, 7, 27, 35), (1, 6, 6, 15), (7, 21)]
+
+    calls = []
+
+    def counted(forms):
+        calls.append(len(forms))
+        return complement(forms)
+
+    monkeypatch.setattr(splits, "_complement", counted)
+    split = built[0]
+    first = split.basis("21")
+    assert calls == [7]
+    assert split.basis("21") is first
+    assert calls == [7]
+
+
+def test_projections_build_the_contraction_matrix_once(monkeypatch):
+    calls = []
+    contraction_matrix = splits.contraction_matrix
+
+    def counted(psi, r):
+        calls.append(r)
+        return contraction_matrix(psi, r)
+
+    monkeypatch.setattr(splits, "contraction_matrix", counted)
+    split = splits.four_form_split(ROTATED[0])
+    sample = _seeded_self_dual_form(0) + Multivector.monomial(8, [1, 2, 3, 4])
+    parts = [split.project(label, sample) for label in split.labels]
+    assert calls == [4]
+    assert sum(parts, Multivector.zero(8, 4)) == sample
+
+
+def _assert_cheap_routes_match_their_oracles(phi):
+    # the 2-form rank-7 block: the row space of C_2 + 1, against the
+    # kernel of C_2 - 3, field by field
+    split = splits.two_form_split(phi)
+    oracle = splits._eigenspace(splits.contraction_matrix(phi, 2), 3)
+    assert [(b.numerators, b.denominator) for b in split.basis("7")] == [
+        (b.numerators, b.denominator) for b in oracle]
+    # the so(8) orbit: the 7 images under e_1 ^ e_j reduce to the rows of
+    # all 28
+    seven = linalg.echelon(splits._orbit_rows(phi, 7))
+    assert seven == linalg.echelon(splits._orbit_rows(phi, 28))
+    assert len(seven[0]) == 7
+
+
+@pytest.mark.parametrize("phi", [PHI, *ROTATED],
+                         ids=["cayley", "g1", "g2", "g3"])
+def test_cheap_routes_match_their_oracles(phi):
+    _assert_cheap_routes_match_their_oracles(phi)
+
+
+@settings(max_examples=6, deadline=None)
+@given(cayley_transforms())
+def test_cheap_routes_match_their_oracles_on_generic_rotations(g):
+    _assert_cheap_routes_match_their_oracles(_act(g, PHI))
+
+
+def test_cylinder_types_reject_a_split_with_another_rank_7_block():
+    # omega and the 6- block of the SU(4) refinement span 7 dimensions,
+    # orthogonal to the 21 of the rest, but not the 3-eigenspace of C_2
+    omega, re_theta, _ = su4_forms()
+    refinement = splits.su4_two_form_refinement(omega, re_theta)
+    wrong7 = (*refinement.basis("1"), *refinement.basis("6-"))
+    wrong21 = (*refinement.basis("6+"), *refinement.basis("15"))
+    split = splits.TypeSplit(8, 2, PHI, (
+        ("7", 3, 7, lambda _: wrong7), ("21", -1, 21, lambda _: wrong21)))
+    with pytest.raises(splits.AdmissibilityError) as error:
+        splits.cylinder_two_form_types(split)
+    assert str(error.value) == (
+        "rank-7 parameterization leaves the eigenspace split")
