@@ -46,7 +46,7 @@ def main():
     print("  parts sum back to the input ->", total == sample)
     print()
 
-    cyl = splits.cylinder_two_form_types(split2)
+    cyl = splits.cylinder_two_form_types(g2_phi())
     print("cylinder parameterizations of the same split: ranks",
           cyl.split.ranks, "- contraction isometry scale", cyl.iso_scale)
 

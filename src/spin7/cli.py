@@ -119,10 +119,7 @@ def _identity_suite(inject_sign_flip: bool = False):
         lambda: splits.su4_two_form_refinement(omega, re_theta))
     yield ("SU(4) 2-form refinement has ranks (1, 6, 6, 15)",
            refinement is not None and refinement.ranks == (1, 6, 6, 15))
-    # the Cayley form is the cylinder form of g2_phi3, so the cylinder
-    # types reuse its 2-form split
-    cyl = (None if split2 is None
-           else attempt(lambda: splits.cylinder_two_form_types(split2)))
+    cyl = attempt(lambda: splits.cylinder_two_form_types(g2_phi3))
     yield ("cylindrical 2-form parameterizations match the split "
            "(contraction isometry scale 3)",
            cyl is not None and cyl.split.ranks == (7, 21)

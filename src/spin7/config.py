@@ -360,8 +360,11 @@ def analyze(config: Configuration) -> AnalysisResult:
     chi_d = charnum.euler_characteristics(
         space.weights, config.divisor_degrees).chi_top
     sigma = []
-    for s in config.sigma:
-        chi_s, _, pg_s = charnum.noether_pg(space.weights, s.degrees)
+    for i, s in enumerate(config.sigma):
+        try:
+            chi_s, _, pg_s = charnum.noether_pg(space.weights, s.degrees)
+        except ValueError as exc:
+            raise AdmissibilityFailure([f"sigma[{i}]: {exc}"]) from None
         sigma.append(invariants.SigmaComponent(chi_s, pg_s, s.multiplicity))
 
     data = invariants.OrbifoldConfiguration(

@@ -3,10 +3,10 @@
 Everything in this module is exact.  Every type split is a set of
 eigenspaces of one operator on r-forms, the contraction
 C_r(psi): a -> sum_(m<k) (e_m ^ e_k -| psi) ^ (e_m ^ e_k -| a),
-whose integer eigenvalues label the blocks; ``TypeSplit.project`` is a
-Lagrange polynomial of it.  The metric is the Euclidean one: the 3- and
-4-form splits check that Phi is self-dual and meets the premise of
-``_admissible``, and raise ``AdmissibilityError`` otherwise.
+whose integer eigenvalues label the blocks; ``TypeSplit.project``, a
+Lagrange polynomial of it, also tests the cylinder rows.  The metric is
+the Euclidean one: the 3- and 4-form splits check that Phi is self-dual
+and meets ``_admissible``, and raise ``AdmissibilityError`` otherwise.
 
 A split function checks every rank, and raises every
 ``AdmissibilityError``, when it builds the split; a block's basis is
@@ -39,7 +39,7 @@ from functools import lru_cache
 from math import lcm
 
 from spin7.forms import (
-    Multivector, _star_negated, contract, cylinder_form, g2_split,
+    Multivector, _star_negated, contract, cylinder_form,
     hodge_star, inner, merge_sign, wedge,
 )
 from spin7 import linalg
@@ -238,7 +238,7 @@ class TypeSplit:
     phi: Multivector
     specs: tuple[tuple[str, int, int,
                        Callable[[TypeSplit], Sequence[Multivector]]], ...]
-    # label -> basis, and None -> the rows of C_r(phi)
+    # label -> basis, and None -> the entries of C_r(phi) by row mask
     _built: dict = field(default_factory=dict, init=False, repr=False)
 
     def _read(self, key, build):
@@ -273,7 +273,8 @@ class TypeSplit:
         C_r(phi) is symmetric and the blocks are its eigenspaces, so the
         projection onto the block of eigenvalue lambda is the Lagrange
         polynomial prod_mu (C_r(phi) - mu) / (lambda - mu) over the other
-        blocks' eigenvalues mu, applied to the numerators of ``a``."""
+        blocks' eigenvalues mu, applied to the numerators v of ``a``; by
+        the symmetry, C_r(phi) v is the sum of v_k times the row of mask k."""
         if (a.dimension, a.degree) != (self.dimension, self.degree):
             raise ValueError(
                 f"expected a form with (n, r) = ({self.dimension}, "
@@ -281,15 +282,18 @@ class TypeSplit:
         eigenvalues = {block_label: eigenvalue
                        for block_label, eigenvalue, _, _ in self.specs}
         eigenvalue = eigenvalues.pop(label)
-        rows = self._read(
-            None, lambda: contraction_matrix(self.phi, self.degree))
+        rows = self._read(None, lambda: {
+            m: entries for m, (entries, _) in zip(
+                monomial_masks(self.dimension, self.degree),
+                contraction_matrix(self.phi, self.degree))})
         d = self.phi.denominator
         v, scale = a.numerators, a.denominator
         for mu in eigenvalues.values():  # (C_r - mu) v gains the factor d
-            v = {m: x for m, (entries, _) in zip(
-                     monomial_masks(self.dimension, self.degree), rows)
-                 if (x := sum(c * v[k] for k, c in entries if k in v)
-                     - mu * d * v.get(m, 0))}
+            w = {m: -mu * d * x for m, x in v.items()}
+            for k, x in v.items():
+                for m, c in rows[k]:
+                    w[m] = w.get(m, 0) + c * x
+            v = {m: x for m, x in w.items() if x}
             scale *= d * (eigenvalue - mu)
         return Multivector(self.dimension, self.degree,
                            {m: Fraction(x, scale) for m, x in v.items()})
@@ -323,7 +327,11 @@ def two_form_split(phi: Multivector) -> TypeSplit:
 
     The rank-7 block is the row space of C_2(Phi) + 1: with |Phi|^2 = 14,
     rank 7 forces the spectrum {3^7, -1^21} (see ``TypeSplit``), so the
-    row space is the 3-eigenspace.  The pivots of a reduced basis taken
+    row space is the 3-eigenspace.  Rank 7 alone gives only |Phi|^2 >= 14:
+    the other 7 eigenvalues sum to 21 with squares summing to
+    6 |Phi|^2 - 21, and Cauchy-Schwarz gives 21^2 <= 7 (6 |Phi|^2 - 21),
+    with equality exactly when all 7 are 3.  So the norm test is that
+    equality case, and it stays.  The pivots of a reduced basis taken
     from the right are the free columns of the reduction of its
     orthogonal complement from the left, so one ``echelon`` of the 28 rows
     of C_2(Phi) + 1, run with the columns in reverse order, gives the
@@ -524,7 +532,6 @@ def su4_two_form_refinement(omega: Multivector,
 class StabilizerResult:
     """Annihilator of a form under the infinitesimal gl(n) action."""
 
-    form: Multivector
     dim: int
     basis: tuple[Row, ...]  # column i*n + j holds the entry of E_ij
 
@@ -533,7 +540,7 @@ def stabilizer_dimension(form: Multivector) -> StabilizerResult:
     """Exact kernel of A -> (derivation action of A on the form), as the
     kernel rows of ``action_matrix``."""
     basis = linalg.kernel(action_matrix(form), range(form.dimension ** 2))
-    return StabilizerResult(form, len(basis), tuple(basis))
+    return StabilizerResult(len(basis), tuple(basis))
 
 
 # ---------------------------------------------------------------------------
@@ -579,41 +586,33 @@ def _cylinder_rows(phi: Multivector
     return seven, twentyone, hats
 
 
-def cylinder_two_form_types(split: TypeSplit) -> CylinderTypes:
-    """Realize the 2-form split of a cylinder 4-form dt^phi + *phi.
+def cylinder_two_form_types(phi: Multivector) -> CylinderTypes:
+    """The 2-form split of the cylinder 4-form dt ^ phi + *phi of the
+    3-form phi on R^7, and the contraction isometry scale.
 
-    ``split`` is ``two_form_split`` of that 4-form, and phi is its dt
-    factor.  For each tangent vector v of R^7 the rank-7 block is spanned by
+    For each tangent vector v of R^7 the rank-7 block is spanned by
     dt ^ *( *phi ^ (v -| phi) ) + 3 (v -| phi), and the rank-21 block by
-    dt ^ *( *phi ^ alpha ) - alpha over 2-forms alpha.  The function
-    checks these parameterizations against the eigenspace split of the
-    cylinder form and determines the exact scalar making the map
-    v -| phi -> *( *phi ^ (v -| phi) ) a multiple of the metric dual of v.
+    dt ^ *( *phi ^ alpha ) - alpha over 2-forms alpha.  Each row must
+    project to 0 on the other block; each projection is one factor
+    C_2 - mu, so this is the eigenvector equation.  The 21 rows are
+    independent (each holds -d at its own mask without dt), so with 7
+    independent rank-7 rows they fill both eigenspaces.  The rank-21
+    basis is the orthogonal complement of the rank-7 rows.  The scale
+    makes v -| phi -> *( *phi ^ (v -| phi) ) a multiple of v-flat.
     """
-    phi = g2_split(split.phi)[0]
-    if cylinder_form(phi) != split.phi:
-        raise AdmissibilityError(
-            "the 4-form is not the cylinder form of its dt factor")
+    psi = cylinder_form(phi)  # raises unless phi is a 3-form on R^7
     seven, twentyone, hats = _cylinder_rows(phi)
-
-    def meets(rows: list[Row], vectors: list[dict[int, int]]) -> bool:
-        """Some row is not orthogonal to some vector."""
-        return any(sum(x * v.get(m, 0) for m, x in entries)
-                   for entries, _ in rows for v in vectors)
-
-    # the blocks are orthogonal complements, so a row lies in one block
-    # exactly when it is orthogonal to the other.  Each rank-21 row holds
-    # -d at its own mask without dt, so the rank-21 rows are independent
-    # and, once orthogonal to the rank-7 block, span the rank-21 block
-    spans21 = not meets(twentyone, [b.numerators for b in split.basis("7")])
-    block21 = ([dict(entries) for entries, _ in twentyone] if spans21
-               else [b.numerators for b in split.basis("21")])
-    if meets(seven, block21):
+    split = TypeSplit(8, 2, psi, (
+        ("7", 3, 7, lambda _: [from_coords(v, 8, 2) for v in seven]),
+        ("21", -1, 21, lambda split: _complement(split.basis("7")))))
+    if not all(split.project("21", from_coords(v, 8, 2)).is_zero()
+               for v in seven):
         raise AdmissibilityError(
             "rank-7 parameterization leaves the eigenspace split")
     if len(linalg.echelon(seven)[1]) != 7:
         raise AdmissibilityError("rank-7 parameterization is degenerate")
-    if not spans21:
+    if not all(split.project("7", from_coords(v, 8, 2)).is_zero()
+               for v in twentyone):
         raise AdmissibilityError(
             "rank-21 parameterization leaves the eigenspace split")
     # the 1-form *( *phi ^ (v -| phi) ) must equal scale * v-flat
@@ -626,7 +625,4 @@ def cylinder_two_form_types(split: TypeSplit) -> CylinderTypes:
     if len(set(scales)) != 1:
         raise AdmissibilityError(
             "contraction map scale differs between directions")
-    return CylinderTypes(split=TypeSplit(8, 2, split.phi, (
-        ("7", 3, 7, lambda _: [from_coords(v, 8, 2) for v in seven]),
-        ("21", -1, 21, lambda _: split.basis("21")))),
-        iso_scale=scales[0])
+    return CylinderTypes(split=split, iso_scale=scales[0])

@@ -303,7 +303,6 @@ class SingularPointGroup:
 
     stratum: SingularStratum
     count: int
-    residues: tuple[int, ...]  # local weights of the variety directions
 
 
 @dataclass(frozen=True)
@@ -378,7 +377,7 @@ def isolated_z4_check(ci: CompleteIntersectionDatum) -> IsolatedCheck:
             reasons.append(
                 f"stratum {stratum.indices}: local weights {residues} are "
                 "not a single unit repeated over the variety directions")
-        groups.append(SingularPointGroup(stratum, count, residues))
+        groups.append(SingularPointGroup(stratum, count))
     k = sum(g.count for g in groups)
     return IsolatedCheck(ok=isolated, k=k, action_ok=action_ok,
                          points=tuple(groups), reasons=tuple(reasons))

@@ -280,6 +280,13 @@ def _with_weights_and_divisor(weights, degrees):
     pytest.param(_with_weights_and_divisor([1, 1, 1, 1, 1], [5]),
                  "singularities: the singular locus is empty",
                  id="empty-singular-locus"),
+    # Noether's formula fails on sigma[0], not on V: the plane P(1, 1, 4)
+    # cut by two linear forms keeps the order-4 point, so chi is not an
+    # integer
+    pytest.param(lambda d: d["sigma"][0].__setitem__("degrees", [1, 1]),
+                 "sigma[0]: topological Euler characteristic 9/4 is not an "
+                 "integer; singular point data is inconsistent with the "
+                 "variety", id="sigma-euler-characteristic"),
 ])
 def test_analyze_rejection_paths(mutate, reason, tmp_path):
     code, out, err = run_cli("analyze", _m1_mutation(mutate, tmp_path))

@@ -1,6 +1,5 @@
 """Exact type decompositions, stabilizers, and cylinder parameterizations."""
 
-import dataclasses
 import hashlib
 import itertools
 import random
@@ -149,24 +148,31 @@ def _wedged_contractions(A, form):
     return out
 
 
-def _rotated_cayley_form(perm, signs, planes):
-    """g.Phi for g = R2 R1 P: P the signed permutation dx_i -> signs[i]
-    dx_perm[i] of determinant +1, R1 and R2 the exact rotations with
-    (cos, sin) = (3/5, 4/5) and (5/13, 12/13) in the two given planes."""
+def _rotation(perm, signs, planes):
+    """g = R2 R1 P in SO(n), n = len(perm): P the signed permutation
+    dx_i -> signs[i] dx_perm[i] of determinant +1, R1 and R2 the exact
+    rotations with (cos, sin) = (3/5, 4/5) and (5/13, 12/13) in the two
+    given planes."""
+    n = len(perm)
     inversions = sum(perm[a] > perm[b]
-                     for a, b in itertools.combinations(range(8), 2))
+                     for a, b in itertools.combinations(range(n), 2))
     assert (-1) ** (inversions + signs.count(-1)) == 1  # det P = +1
     g = [[Fraction(signs[i]) if j == perm[i] else Fraction(0)
-          for j in range(8)] for i in range(8)]
+          for j in range(n)] for i in range(n)]
     for (cos, sin), (i, j) in zip(((Fraction(3, 5), Fraction(4, 5)),
                                    (Fraction(5, 13), Fraction(12, 13))),
                                   planes):
-        r = [[Fraction(int(a == b)) for b in range(8)] for a in range(8)]
+        r = [[Fraction(int(a == b)) for b in range(n)] for a in range(n)]
         r[i][i] = r[j][j] = cos
         r[i][j], r[j][i] = sin, -sin
-        g = [[sum(r[a][k] * g[k][b] for k in range(8)) for b in range(8)]
-             for a in range(8)]
-    return _act(g, PHI)
+        g = [[sum(r[a][k] * g[k][b] for k in range(n)) for b in range(n)]
+             for a in range(n)]
+    return g
+
+
+def _rotated_cayley_form(perm, signs, planes):
+    """g.Phi for g = ``_rotation(perm, signs, planes)`` in SO(8)."""
+    return _act(_rotation(perm, signs, planes), PHI)
 
 
 def _act(g, form):
@@ -294,7 +300,8 @@ def test_infinitesimal_action_is_sum_of_wedged_contractions(case):
 
 
 def test_cylinder_two_form_types():
-    cyl = splits.cylinder_two_form_types(splits.two_form_split(PHI))
+    cyl = splits.cylinder_two_form_types(g2_phi())
+    assert cyl.split.phi == PHI
     assert cyl.split.ranks == (7, 21)
     assert cyl.iso_scale == 3
     _orthogonal_blocks(cyl.split)
@@ -304,14 +311,67 @@ def test_cylinder_two_form_types():
             assert hodge_star(wedge(PHI, alpha)) == eigenvalue * alpha
 
 
-def test_cylinder_two_form_types_rejects_a_non_cylinder_form():
-    # the split's 4-form with dx_1 reversed is dt ^ (-phi) + *phi, which is
-    # not the cylinder form dt ^ (-phi) - *phi of its dt factor
-    split = splits.two_form_split(PHI)
-    flipped = Multivector(8, 4, {m: -c if m & 1 else c
-                                 for m, c in PHI.terms.items()})
-    with pytest.raises(splits.AdmissibilityError, match="cylinder form"):
-        splits.cylinder_two_form_types(dataclasses.replace(split, phi=flipped))
+def _doubled(row):
+    entries, d = row
+    return [(k, 2 * x) for k, x in entries], d
+
+
+@pytest.mark.parametrize("mutate,message", [
+    # a -1-eigenvector among the rank-7 rows
+    pytest.param(lambda seven, twentyone, hats:
+                 seven.__setitem__(0, twentyone[0]),
+                 "rank-7 parameterization leaves the eigenspace split",
+                 id="rank-7-row-leaves"),
+    # a repeated 3-eigenvector: every row in its block, rank 6
+    pytest.param(lambda seven, twentyone, hats:
+                 seven.__setitem__(1, _doubled(seven[0])),
+                 "rank-7 parameterization is degenerate", id="degenerate"),
+    pytest.param(lambda seven, twentyone, hats:
+                 twentyone.__setitem__(0, seven[0]),
+                 "rank-21 parameterization leaves the eigenspace split",
+                 id="rank-21-row-leaves"),
+    # the hat of e_1 -| phi gains a dx_2 term
+    pytest.param(lambda seven, twentyone, hats:
+                 hats.__setitem__(0, (hats[0][0] + [(2, 1)], hats[0][1])),
+                 "contraction map is not a multiple of the metric dual",
+                 id="not-the-dual"),
+    pytest.param(lambda seven, twentyone, hats:
+                 hats.__setitem__(0, _doubled(hats[0])),
+                 "contraction map scale differs between directions",
+                 id="scale-differs"),
+])
+def test_cylinder_types_name_each_failed_check(monkeypatch, mutate, message):
+    # _cylinder_rows returns its rows after ``mutate`` changed them in place
+    cylinder_rows = splits._cylinder_rows
+
+    def mutated(phi):
+        rows = cylinder_rows(phi)
+        mutate(*rows)
+        return rows
+
+    monkeypatch.setattr(splits, "_cylinder_rows", mutated)
+    with pytest.raises(splits.AdmissibilityError) as error:
+        splits.cylinder_two_form_types(g2_phi())
+    assert str(error.value) == message
+
+
+def test_cylinder_types_take_a_three_form_on_r7():
+    with pytest.raises(ValueError, match="3-form on R\\^7"):
+        splits.cylinder_two_form_types(PHI)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_cylinder_types_of_a_rotated_g2_form(seed):
+    # g.phi for g in SO(7) is a G2 form of the same metric, so its cylinder
+    # types are the 2-form split of its cylinder form
+    phi = _act(_seeded_rotation(seed, 7), g2_phi())
+    assert len(phi.terms) > len(g2_phi().terms)  # the rotations mix terms
+    cyl = splits.cylinder_two_form_types(phi)
+    assert cyl.iso_scale == 3
+    split = splits.two_form_split(cylinder_form(phi))
+    assert cyl.split.basis("21") == split.basis("21")
+    for b in cyl.split.basis("7"):
+        assert split.project("21", b).is_zero()
 
 
 def test_type_split_rejects_unknown_label():
@@ -339,8 +399,7 @@ def _bases(subject):
             for entries, d in splits.stabilizer_dimension(form).basis]}
 
     if subject == "g2_phi":
-        cylinder = splits.cylinder_two_form_types(
-            splits.two_form_split(cylinder_form(g2_phi())))
+        cylinder = splits.cylinder_two_form_types(g2_phi())
         return {**stabilizer(g2_phi()), **forms(cylinder.split, "cylinder")}
     if subject == "su4":
         omega, re_theta, _ = su4_forms()
@@ -684,19 +743,24 @@ def _four_form_blocks_on_all_columns(phi):
     return block7, splits._complement([phi, *block7, *anti])
 
 
-def _seeded_rotated_cayley_form(seed):
-    """g.Phi for a seeded g shaped like the benchmark's: a signed
+def _seeded_rotation(seed, n):
+    """A seeded g in SO(n) shaped like the benchmark's: a signed
     permutation of determinant +1 and two exact plane rotations."""
     rng = random.Random(seed)
-    perm = list(range(8))
+    perm = list(range(n))
     rng.shuffle(perm)
-    signs = [rng.choice((1, -1)) for _ in range(8)]
+    signs = [rng.choice((1, -1)) for _ in range(n)]
     inversions = sum(perm[a] > perm[b]
-                     for a, b in itertools.combinations(range(8), 2))
+                     for a, b in itertools.combinations(range(n), 2))
     if (-1) ** (inversions + signs.count(-1)) < 0:
         signs[0] = -signs[0]
-    planes = [tuple(rng.sample(range(8), 2)) for _ in range(2)]
-    return _rotated_cayley_form(perm, signs, planes)
+    planes = [tuple(rng.sample(range(n), 2)) for _ in range(2)]
+    return _rotation(perm, signs, planes)
+
+
+def _seeded_rotated_cayley_form(seed):
+    """g.Phi for ``_seeded_rotation(seed, 8)``."""
+    return _act(_seeded_rotation(seed, 8), PHI)
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -791,8 +855,7 @@ def _every_split(name):
         omega, re_theta, _ = su4_forms()
         return [splits.su4_two_form_refinement(omega, re_theta)]
     if name == "cylinder":
-        return [splits.cylinder_two_form_types(splits.two_form_split(
-            cylinder_form(g2_phi()))).split]
+        return [splits.cylinder_two_form_types(g2_phi()).split]
     phi = {"cayley": PHI, "g1": ROTATED[0], "g2": ROTATED[1],
            "g3": ROTATED[2]}[name]
     return [splits.two_form_split(phi), splits.three_form_split(phi),
@@ -1083,18 +1146,3 @@ def test_cheap_routes_match_their_oracles(phi):
 @given(cayley_transforms())
 def test_cheap_routes_match_their_oracles_on_generic_rotations(g):
     _assert_cheap_routes_match_their_oracles(_act(g, PHI))
-
-
-def test_cylinder_types_reject_a_split_with_another_rank_7_block():
-    # omega and the 6- block of the SU(4) refinement span 7 dimensions,
-    # orthogonal to the 21 of the rest, but not the 3-eigenspace of C_2
-    omega, re_theta, _ = su4_forms()
-    refinement = splits.su4_two_form_refinement(omega, re_theta)
-    wrong7 = (*refinement.basis("1"), *refinement.basis("6-"))
-    wrong21 = (*refinement.basis("6+"), *refinement.basis("15"))
-    split = splits.TypeSplit(8, 2, PHI, (
-        ("7", 3, 7, lambda _: wrong7), ("21", -1, 21, lambda _: wrong21)))
-    with pytest.raises(splits.AdmissibilityError) as error:
-        splits.cylinder_two_form_types(split)
-    assert str(error.value) == (
-        "rank-7 parameterization leaves the eigenspace split")
