@@ -127,7 +127,8 @@ def _identity_suite(inject_sign_flip: bool = False):
 
 
 def _newton_probes(tolerance: float):
-    """Yield (description, passed) for floating Newton-projection probes."""
+    """The (description, passed) pairs of the floating Newton-projection
+    probes, and whether every probe passed."""
     import numpy as np
     from spin7 import projection
     from spin7.forms import cayley_form
@@ -136,7 +137,6 @@ def _newton_probes(tolerance: float):
     phi0 = projection.form_to_array(cayley_form())
     pr27 = projection.type_projector("27")
     lines = []
-    ok_all = True
     for trial in range(3):
         xi = pr27 @ rng.standard_normal(70)
         xi /= np.linalg.norm(xi)
@@ -146,39 +146,27 @@ def _newton_probes(tolerance: float):
                 out = projection.theta_project(phi0 + eps * xi,
                                                tolerance=tolerance)
             except projection.ProjectionError as exc:
-                ok_all = False
                 lines.append((f"{probe}ProjectionError: {exc}", False))
                 continue
             err = float(np.linalg.norm(out.psi - eps * xi))
-            ok = err <= 100 * eps * eps and out.residual <= 1e-10
-            ok_all &= ok
             lines.append((f"{probe}|psi - eps xi| = {err:.3e}, "
-                          f"iterations {out.iterations}", ok))
-    return lines, ok_all
+                          f"iterations {out.iterations}",
+                          err <= 100 * eps * eps and out.residual <= 1e-10))
+    return lines, all(ok for _, ok in lines)
 
 
-def _positive_finite(text: str) -> float:
-    """argparse type of ``--tolerance``: a positive finite float."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(
-            f"must be a positive finite number, got {text!r}")
-    return value
-
-
-def _positive_int(text: str) -> int:
-    """argparse type of ``scan``'s sizes: an integer >= 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"must be a positive integer, got {text!r}")
-    return value
+def _positive(kind, noun: str):
+    """The argparse type of a positive finite ``kind`` (``float`` for
+    ``--tolerance``, ``int`` for ``scan``'s sizes), ``noun`` in errors."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = 0
+        if not 0 < value < math.inf:  # rejects NaN too
+            raise argparse.ArgumentTypeError(f"must be {noun}, got {text!r}")
+        return value
+    return parse
 
 
 def _outcomes(key: str, results) -> list:
@@ -345,7 +333,8 @@ def build_parser() -> argparse.ArgumentParser:
                           default="table")
     p_verify.add_argument("--with-newton", action="store_true",
                           help="add floating Newton-projection probes")
-    p_verify.add_argument("--tolerance", type=_positive_finite,
+    p_verify.add_argument("--tolerance", type=_positive(
+                              float, "a positive finite number"),
                           default=1e-12,
                           help="projection tolerance (positive, finite)")
     p_verify.add_argument("--inject-sign-flip", action="store_true",
@@ -361,8 +350,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_scan = sub.add_parser(
         "scan", help="scan weight systems for admissible candidates")
-    p_scan.add_argument("--max-weight", type=_positive_int, required=True)
-    p_scan.add_argument("--ambient-dim", type=_positive_int, default=4)
+    positive_int = _positive(int, "a positive integer")
+    p_scan.add_argument("--max-weight", type=positive_int, required=True)
+    p_scan.add_argument("--ambient-dim", type=positive_int, default=4)
     p_scan.add_argument("--format", choices=("table", "structured"),
                         default="table")
     p_scan.set_defaults(func=cmd_scan)

@@ -43,7 +43,9 @@ first failing check raises ``AdmissibilityFailure`` with its reasons:
 5. ``involution``;
 6. ``anticanonical divisor degree``.
 
-It raises it too when chi(V) disagrees with the Betti numbers.  V must
+It raises it too when chi(V) disagrees with the Betti numbers, and when
+[Sigma] = [D]^2 fails: sum(multiplicity * prod(degrees)) over sigma must
+be prod(V's degrees) times the square of D's cut.  V must
 be the ambient space or a single diagonal hypersurface.
 ``wps.isolated_z4_check`` decides this once, right after
 ``well-formed (V)`` and before D is looked at, and raises
@@ -53,6 +55,7 @@ be the ambient space or a single diagonal hypersurface.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Any
 
@@ -381,5 +384,12 @@ def analyze(config: Configuration) -> AnalysisResult:
         report = invariants.compute_report(data)
     except ValueError as exc:
         raise AdmissibilityFailure([str(exc)]) from None
+    # [Sigma] = [D]^2 in degrees, after compute_report names a wrong parity
+    lhs = sum(s.multiplicity * math.prod(s.degrees) for s in config.sigma)
+    rhs = math.prod(config.variety_degrees) * divisor_cut ** 2
+    if lhs != rhs:
+        raise AdmissibilityFailure([
+            f"sigma: [Sigma] = {lhs} from its degrees and multiplicities, "
+            f"but [D]^2 = {rhs}; Sigma must be the self-intersection of D"])
     return AnalysisResult(config=config, checks=tuple(checks), chi_V=chi_v,
                           data=data, report=report)

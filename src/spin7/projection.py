@@ -8,13 +8,13 @@ psi in the rank-27 component at Phi, by Newton iteration over a
 complement of the stabilizer algebra in gl(8).
 
 This is the only module of the package that uses floating point; the
-subspace data it consumes is computed exactly in :mod:`spin7.splits` and
-converted to floats once.  It needs numpy alone.  The Newton steps move
-the map by the second-order retraction I + X + X^2/2 of their generator
-X, which agrees with exp(X) to second order and so leaves the fixed
-point of the iteration unchanged; ``expm``, the Taylor polynomial of
-degree 14 with scaling and squaring, is the accurate exponential for
-callers that need one.
+action matrix and C_4 of the Cayley form, which it consumes, are computed
+exactly in :mod:`spin7.splits` and converted to floats once.  It needs
+numpy alone.  The Newton steps move the map by the second-order
+retraction I + X + X^2/2 of their generator X, which agrees with exp(X)
+to second order and so leaves the fixed point of the iteration
+unchanged; ``expm``, the Taylor polynomial of degree 14 with scaling and
+squaring, is the accurate exponential for callers that need one.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -150,11 +150,17 @@ def _push(t: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=1)
 def _newton_data() -> dict:
-    """Precomputed exact data around the Cayley form, as float arrays."""
+    """Precomputed exact data around the Cayley form, as float arrays.
+
+    The complement of the stabilizer, the kernel of the action matrix A,
+    is the row space of A: its 43 reduced rows W, all integral.  The
+    projector onto the lambda-block is the Lagrange polynomial
+    prod (C - mu) / (lambda - mu) of C = C_4(phi0) over the other
+    eigenvalues mu of ``four_form_split``.  C has entries 0, +-1, so the
+    integer product is exact and the division is the only rounding."""
     phi0 = cayley_form()
-    # 43-dimensional Frobenius-orthogonal complement of the stabilizer
-    complement = linalg.kernel(
-        list(splits.stabilizer_dimension(phi0).basis), range(64))
+    action = splits.action_matrix(phi0)
+    complement = linalg.echelon(action)[0]
     if len(complement) != 43:  # 64 - 21
         raise ArithmeticError(
             f"the stabilizer of the Cayley form has a complement of "
@@ -165,17 +171,19 @@ def _newton_data() -> dict:
     # tangent directions of the orbit at phi0, the 70 x 43 matrix D = QR.
     # The action matrix of phi0 has entries 0, +-1 and the complement basis
     # W is integral, so this float product is the exact D.
-    action = [linalg.dense(r, 64) for r in splits.action_matrix(phi0)]
-    D = np.array(action, dtype=float) @ W.reshape(43, 64).T
-    Q, R = np.linalg.qr(D)
+    A = np.array([linalg.dense(r, 64) for r in action], dtype=float)
+    Q, R = np.linalg.qr(A @ W.reshape(43, 64).T)
 
-    split4 = splits.four_form_split(phi0)
+    C = np.zeros((70, 70))
+    for i, (entries, _) in enumerate(splits.contraction_matrix(phi0, 4)):
+        C[i, [_MASK_INDEX[m] for m, _ in entries]] = [x for _, x in entries]
+    spectrum = [spec[:2] for spec in splits.four_form_split(phi0).specs]
     projectors = {}
-    for label in ("1", "7", "27", "35"):
-        basis = split4.basis(label)
-        B = np.array([form_to_array(b) for b in basis]).T
-        Qb, _ = np.linalg.qr(B)
-        projectors[label] = Qb @ Qb.T
+    for label, eigenvalue in spectrum:
+        others = [mu for _, mu in spectrum if mu != eigenvalue]
+        projectors[label] = reduce(np.matmul, [
+            C - mu * np.eye(70) for mu in others]) / math.prod(
+            eigenvalue - mu for mu in others)
 
     phi0_vec = form_to_array(phi0)
     return {
@@ -192,13 +200,14 @@ def _newton_data() -> dict:
         "Qt_phi0": Q.T @ phi0_vec,
         "S": -np.linalg.solve(R.T, W.reshape(43, 64)),
         "projectors": projectors,
-        "off27": projectors["1"] + projectors["7"] + projectors["35"],
+        "off27": np.eye(70) - projectors["27"],
     }
 
 
 def type_projector(label: str) -> np.ndarray:
     """Float orthogonal projector onto a rank block at the Cayley form
-    ("1", "7", "27" or "35"); raises KeyError for any other label."""
+    ("1", "7", "27" or "35"), the polynomial in C_4(Phi0) that
+    ``TypeSplit.project`` applies; raises KeyError for any other label."""
     projectors = _newton_data()["projectors"]
     if label not in projectors:
         raise KeyError(f"no block labeled {label!r}")
@@ -276,32 +285,33 @@ def theta_project(chi, tolerance: float = TOLERANCE,
     residuals = [math.sqrt(t @ t)]
     if residuals[0] <= tolerance:
         phi, H = phi0.copy(), np.eye(8)  # no step: Phi is Phi0 itself
-    else:
-        chi_tensor = _scatter(chi_vec)
-        while not residuals[-1] <= tolerance:  # a NaN residual enters
-            iterations = len(residuals) - 1
-            if not math.isfinite(residuals[-1]):
-                raise ProjectionError(
-                    f"iteration diverged after {iterations} step(s); the "
-                    "input is outside the reachable neighbourhood of the "
-                    "orbit")
-            if iterations >= max_iterations:
-                raise ProjectionError(
-                    f"no convergence after {max_iterations} iterations "
-                    f"(tangential residual {residuals[-1]:.3e}, tolerance "
-                    f"{tolerance:.3e}); the input is outside the reachable "
-                    "neighbourhood of the orbit, or the tolerance is below "
-                    "the rounding floor")
-            X = (t @ S).reshape(8, 8)
-            E = X @ X  # the retraction E = I + X + X^2/2
-            E *= 0.5
-            E += X
-            E += _EYE
-            H = E if iterations == 0 else H @ E
-            t = Qt @ _push(chi_tensor, H).ravel()
-            t -= Qt_phi0
-            residuals.append(math.sqrt(t @ t))
-        phi = _push(data["phi0_tensor"], np.linalg.inv(H)).ravel()
+    else:  # a diverging step overflows: the residual check names it
+        with np.errstate(over="ignore", invalid="ignore"):
+            chi_tensor = _scatter(chi_vec)
+            while not residuals[-1] <= tolerance:  # a NaN residual enters
+                iterations = len(residuals) - 1
+                if not math.isfinite(residuals[-1]):
+                    raise ProjectionError(
+                        f"iteration diverged after {iterations} step(s); the "
+                        "input is outside the reachable neighbourhood of the "
+                        "orbit")
+                if iterations >= max_iterations:
+                    raise ProjectionError(
+                        f"no convergence after {max_iterations} iterations "
+                        f"(tangential residual {residuals[-1]:.3e}, "
+                        f"tolerance {tolerance:.3e}); the input is outside "
+                        "the reachable neighbourhood of the orbit, or the "
+                        "tolerance is below the rounding floor")
+                X = (t @ S).reshape(8, 8)
+                E = X @ X  # the retraction E = I + X + X^2/2
+                E *= 0.5
+                E += X
+                E += _EYE
+                H = E if iterations == 0 else H @ E
+                t = Qt @ _push(chi_tensor, H).ravel()
+                t -= Qt_phi0
+                residuals.append(math.sqrt(t @ t))
+            phi = _push(data["phi0_tensor"], np.linalg.inv(H)).ravel()
 
     return ProjectionOutcome(chi=chi_vec, phi=phi, psi=chi_vec - phi,
                              iterations=len(residuals) - 1,

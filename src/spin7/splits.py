@@ -440,15 +440,13 @@ def four_form_split(phi: Multivector) -> TypeSplit:
 
     The rank-1 block is spanned by Phi, the rank-7 block is the tangent
     space so(8).Phi of the rotation orbit, the rank-35 block consists of
-    the anti-self-dual forms, and the rank-27 block is the orthogonal
-    complement of the rest.  Only the 7 images of Phi under e_1 ^ e_j are
+    the anti-self-dual forms, and the rank-27 block is ``_complement`` of
+    the other 43 basis forms, as every rest-block is.  Only the 7 images of Phi under e_1 ^ e_j are
     eliminated: under the premise of ``_admissible``, Phi is a
     12-eigenvector, the anti-self-dual forms are 0-eigenvectors and so(8)
     maps Phi into the 6-eigenspace, so 7 independent images there force
     the multiplicities (1, 7, 35, 27) (see ``TypeSplit``) and span
-    so(8).Phi, the whole 6-eigenspace.  Phi is self-dual, so the
-    rank-1, 7 and 27 blocks are, and each is computed on one half of the
-    columns and extended by the star."""
+    so(8).Phi, the whole 6-eigenspace."""
     if phi.dimension != 8 or phi.degree != 4:
         raise ValueError("expected a 4-form on R^8")
     if hodge_star(phi) != phi:
@@ -471,22 +469,12 @@ def four_form_split(phi: Multivector) -> TypeSplit:
         if not admissible:
             raise AdmissibilityError(_NOT_ADMISSIBLE)
 
-    def block27(split: TypeSplit) -> list[Multivector]:
-        # the self-dual v orthogonal to Phi and the rank-7 block, and for
-        # self-dual a, <a, v> is twice sum a_m v_m over the masks with dx_8.
-        # A kernel's free columns are picked greedily from the right, so
-        # this kernel has the free columns, and the basis, of the
-        # 70-column one
-        high = [([(m, x) for m, x in entries if m & 128], 1)
-                for entries, _ in map(to_coords, (phi, *split.basis("7")))]
-        return [from_coords(_self_dual(v), 8, 4) for v in linalg.kernel(
-            high, [m for m in monomial_masks(8, 4) if m & 128])]
-
     return TypeSplit(8, 4, phi, (
         ("1", 12, 1, lambda _: (phi,)),
         ("7", 6, 7, lambda _: [from_coords(_self_dual(v), 8, 4)
                                for v in reduced]),
-        ("27", -2, 27, block27),
+        ("27", -2, 27, lambda split: _complement(
+            [phi, *split.basis("7"), *split.basis("35")])),
         ("35", 0, 35, lambda _: _anti_self_dual_block()),
     ))
 

@@ -287,6 +287,15 @@ def _with_weights_and_divisor(weights, degrees):
                  "sigma[0]: topological Euler characteristic 9/4 is not an "
                  "integer; singular point data is inconsistent with the "
                  "variety", id="sigma-euler-characteristic"),
+    # [Sigma] = [D]^2: on m1 the degrees of Sigma must multiply to 8^2
+    *(pytest.param(lambda d, s=sigma: d.__setitem__("sigma", s),
+                   f"sigma: [Sigma] = {total} from its degrees and "
+                   "multiplicities, but [D]^2 = 64; Sigma must be the "
+                   "self-intersection of D", id=f"sigma-class-{total}")
+      for sigma, total in (
+          ([{"degrees": [8, 4], "multiplicity": 1}], 32),
+          ([{"degrees": [8, 8], "multiplicity": 3}], 192),
+          ([{"degrees": [4, 4], "multiplicity": 1}], 16))),
 ])
 def test_analyze_rejection_paths(mutate, reason, tmp_path):
     code, out, err = run_cli("analyze", _m1_mutation(mutate, tmp_path))

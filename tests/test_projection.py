@@ -6,6 +6,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -121,6 +122,29 @@ def test_type_projectors_are_orthogonal_resolution():
     ranks = [int(round(np.trace(projection.type_projector(la))))
              for la in labels]
     assert ranks == [1, 7, 27, 35]
+
+
+def test_type_projectors_are_the_exact_projections():
+    # column k of a projector is the exact projection of the k-th monomial
+    split = splits.four_form_split(cayley_form())
+    for label in split.labels:
+        p = projection.type_projector(label)
+        for k, mask in enumerate(splits.monomial_masks(8, 4)):
+            exact = projection.form_to_array(
+                split.project(label, Multivector(8, 4, {mask: 1})))
+            assert np.abs(p[:, k] - exact).max() <= 1e-15
+
+
+def test_newton_data_reads_no_basis_and_no_stabilizer(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the Newton set-up must not call this")
+
+    monkeypatch.setattr(splits.TypeSplit, "basis", forbidden)
+    monkeypatch.setattr(splits, "stabilizer_dimension", forbidden)
+    data = projection._newton_data.__wrapped__()
+    assert data["W"].shape == (43, 8, 8)
+    for label, p in data["projectors"].items():
+        assert np.array_equal(p, projection.type_projector(label))
 
 
 def test_projection_of_an_orbit_point_recovers_it():
@@ -319,6 +343,19 @@ def test_nonlinear_remainder_is_quadratically_small():
 def test_far_inputs_raise_projection_error():
     with pytest.raises(projection.ProjectionError):
         projection.theta_project(-PHI0, max_iterations=5)
+
+
+def test_divergent_inputs_raise_without_a_warning():
+    rng = np.random.default_rng(RNG_SEED)
+    directions = [rng.standard_normal(70) for _ in range(5)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for eta in directions:
+            chi = PHI0 + 2.5 * eta / np.linalg.norm(eta)
+            with pytest.raises(projection.ProjectionError):
+                projection.theta_project(chi)
+        with pytest.raises(projection.ProjectionError):
+            projection.theta_project(-PHI0, max_iterations=5)
 
 
 def test_bad_shape_rejected():
