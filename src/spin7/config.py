@@ -12,7 +12,7 @@ Configurations are JSON documents.  Schema (all coordinates 0-based):
   },
   "divisor": {                       # D, one hypersurface section of V
     "degrees": [int, ...],           # V's degrees, then the cut of D
-    "h11": int                       # h^{1,1}(D), default 1 (Lefschetz)
+    "h11": int                       # h^{1,1}(D): must be 1 (Lefschetz)
   },
   "sigma": [                         # components of the self-intersection
     {"degrees": [int, ...], "multiplicity": int}, ...
@@ -28,7 +28,9 @@ Configurations are JSON documents.  Schema (all coordinates 0-based):
   "assume_simply_connected": bool    # smooth locus etc.; not machine-checked
 }
 
-Every object rejects a key the schema does not list.
+Every object rejects a key the schema does not list.  ``load_config``
+builds V and D once, as ``Configuration.variety`` and ``.divisor``: two
+``wps.CompleteIntersectionDatum`` over one ``wps.WeightedSpace``.
 ``dump_config(load_config(text))`` is canonical and idempotent, giving a
 bit-exact round-trip of the schema.
 
@@ -43,10 +45,12 @@ first failing check raises ``AdmissibilityFailure`` with its reasons:
 5. ``involution``;
 6. ``anticanonical divisor degree``.
 
-It raises it too when chi(V) disagrees with the Betti numbers, and when
-[Sigma] = [D]^2 fails: sum(multiplicity * prod(degrees)) over sigma must
-be prod(V's degrees) times the square of D's cut.  V must
-be the ambient space or a single diagonal hypersurface.
+It raises it too when chi(V) disagrees with the Betti numbers, when the
+declared h11 of D is not 1 (D is a quasismooth 3-fold complete
+intersection, so Lefschetz gives h11(D) = 1), and when [Sigma] = [D]^2
+fails: sum(multiplicity * prod(degrees)) over sigma must be prod(V's
+degrees) times the square of D's cut.  V must be the ambient space or a
+single diagonal hypersurface.
 ``wps.isolated_z4_check`` decides this once, right after
 ``well-formed (V)`` and before D is looked at, and raises
 ``wps.UnsupportedError`` for any other V.
@@ -82,28 +86,16 @@ class SigmaSpec:
 
 @dataclass(frozen=True)
 class Configuration:
-    """A parsed configuration document."""
+    """A parsed configuration document; V and D share one weighted space."""
 
     name: str
-    ambient_weights: tuple[int, ...]
-    variety_degrees: tuple[int, ...]
-    variety_exponents: tuple[int, ...] | None
-    divisor_degrees: tuple[int, ...]
+    variety: wps.CompleteIntersectionDatum
+    divisor: wps.CompleteIntersectionDatum
     divisor_h11: int
     sigma: tuple[SigmaSpec, ...]
     involution: wps.InvolutionDatum
     polynomials: tuple[tuple[str, wps.Polynomial], ...]
     assume_simply_connected: bool
-
-    def variety_datum(self) -> wps.CompleteIntersectionDatum:
-        return wps.CompleteIntersectionDatum(
-            wps.WeightedSpace(self.ambient_weights),
-            self.variety_degrees,
-            self.variety_exponents)
-
-    def divisor_datum(self) -> wps.CompleteIntersectionDatum:
-        return wps.CompleteIntersectionDatum(
-            wps.WeightedSpace(self.ambient_weights), self.divisor_degrees)
 
 
 def _require(condition: bool, message: str):
@@ -152,18 +144,18 @@ def load_config(text: str) -> Configuration:
     weights = _int_list(doc["ambient_weights"], "ambient_weights")
     n1 = len(weights)
 
-    variety = _object(doc["variety"], "variety", {"degrees", "exponents"})
-    vdeg = _int_list(variety.get("degrees", []), "variety.degrees")
-    vexp_raw = variety.get("exponents")
+    variety_doc = _object(doc["variety"], "variety", {"degrees", "exponents"})
+    vdeg = _int_list(variety_doc.get("degrees", []), "variety.degrees")
+    vexp_raw = variety_doc.get("exponents")
     vexp = (None if vexp_raw is None
             else _int_list(vexp_raw, "variety.exponents"))
 
-    divisor = _object(doc["divisor"], "divisor", {"degrees", "h11"})
-    ddeg = _positive_list(divisor.get("degrees", []), "divisor.degrees")
+    divisor_doc = _object(doc["divisor"], "divisor", {"degrees", "h11"})
+    ddeg = _positive_list(divisor_doc.get("degrees", []), "divisor.degrees")
     _require(len(ddeg) == len(vdeg) + 1 and ddeg[:len(vdeg)] == vdeg,
              "divisor.degrees must extend variety.degrees by exactly one "
              "degree, the cut of D")
-    h11 = divisor.get("h11", 1)
+    h11 = divisor_doc.get("h11", 1)
     _require(type(h11) is int and h11 >= 1, "divisor.h11 must be >= 1")
 
     sigma_docs = doc["sigma"]
@@ -224,41 +216,32 @@ def load_config(text: str) -> Configuration:
     _require(isinstance(simply_connected, bool),
              "assume_simply_connected must be true or false")
 
-    try:
-        config = Configuration(
-            name=name,
-            ambient_weights=weights,
-            variety_degrees=vdeg,
-            variety_exponents=vexp,
-            divisor_degrees=ddeg,
-            divisor_h11=h11,
-            sigma=tuple(sigma),
-            involution=involution,
-            polynomials=tuple(polys),
-            assume_simply_connected=simply_connected,
-        )
-        config.variety_datum()  # validates weights/degrees/exponents
-        config.divisor_datum()
-    except SchemaError:
-        raise
+    try:  # V and D over one space, validated in the order of the schema
+        space = wps.WeightedSpace(weights)
+        variety = wps.CompleteIntersectionDatum(space, vdeg, vexp)
+        divisor = wps.CompleteIntersectionDatum(space, ddeg)
     except ValueError as exc:
         raise SchemaError(str(exc)) from None
-    return config
+    return Configuration(
+        name=name, variety=variety, divisor=divisor, divisor_h11=h11,
+        sigma=tuple(sigma), involution=involution, polynomials=tuple(polys),
+        assume_simply_connected=simply_connected)
 
 
 def dump_config(config: Configuration) -> str:
     """Serialize a configuration canonically (stable key order, 2-space
     indentation, trailing newline)."""
+    variety = config.variety
     doc: dict[str, Any] = {
         "name": config.name,
-        "ambient_weights": list(config.ambient_weights),
+        "ambient_weights": list(variety.space.weights),
         "variety": {
-            "degrees": list(config.variety_degrees),
-            "exponents": (None if config.variety_exponents is None
-                          else list(config.variety_exponents)),
+            "degrees": list(variety.degrees),
+            "exponents": (None if variety.exponents is None
+                          else list(variety.exponents)),
         },
         "divisor": {
-            "degrees": list(config.divisor_degrees),
+            "degrees": list(config.divisor.degrees),
             "h11": config.divisor_h11,
         },
         "sigma": [
@@ -310,13 +293,12 @@ def analyze(config: Configuration) -> AnalysisResult:
             raise AdmissibilityFailure(failures)
         checks.append((name, note))
 
-    variety = config.variety_datum()
+    variety, divisor = config.variety, config.divisor
     space = variety.space
 
     check("well-formed (V)", (f"well-formedness: {v}"
                               for v in wps.well_formed(variety)[1]))
     iso = wps.isolated_z4_check(variety)  # the only check of V's shape
-    divisor = config.divisor_datum()
     check("well-formed (D)", (f"well-formedness of D: {v}"
                               for v in wps.well_formed(divisor)[1]))
 
@@ -332,7 +314,7 @@ def analyze(config: Configuration) -> AnalysisResult:
     check("involution", (f"involution: {r}" for r in involution.reasons))
 
     anticanonical = wps.anticanonical_degree(variety)
-    divisor_cut = config.divisor_degrees[-1]
+    divisor_cut = divisor.degrees[-1]
     check("anticanonical divisor degree",
           [f"divisor degree {divisor_cut} does not match the "
            f"anticanonical degree {anticanonical}"]
@@ -343,10 +325,10 @@ def analyze(config: Configuration) -> AnalysisResult:
         orders.extend([group.stratum.order] * group.count)
 
     chi_v = charnum.euler_characteristics(
-        space.weights, config.variety_degrees, orders)
-    if config.variety_degrees:
+        space.weights, variety.degrees, orders)
+    if variety.degrees:
         hodge_row = charnum.steenbrink_hodge(space.weights,
-                                             config.variety_degrees[0])
+                                             variety.degrees[0])
         h31 = hodge_row[1]  # h^{n-2, 1} = h^{3,1} for a 4-fold
         # by Lefschetz b0 = b2 = b6 = b8 = 1, b4 is the middle row's sum
         # and the odd Betti numbers vanish
@@ -360,8 +342,12 @@ def analyze(config: Configuration) -> AnalysisResult:
             f"chi(V) = {chi_v.chi_top} from the Chern classes and the "
             f"singular points, but {betti_chi} from the Betti numbers"])
 
+    if config.divisor_h11 != 1:  # D is a quasismooth 3-fold: Lefschetz
+        raise AdmissibilityFailure([
+            f"divisor: h11 = {config.divisor_h11} is declared, but "
+            "Lefschetz gives h11(D) = 1"])
     chi_d = charnum.euler_characteristics(
-        space.weights, config.divisor_degrees).chi_top
+        space.weights, divisor.degrees).chi_top
     sigma = []
     for i, s in enumerate(config.sigma):
         try:
@@ -386,7 +372,7 @@ def analyze(config: Configuration) -> AnalysisResult:
         raise AdmissibilityFailure([str(exc)]) from None
     # [Sigma] = [D]^2 in degrees, after compute_report names a wrong parity
     lhs = sum(s.multiplicity * math.prod(s.degrees) for s in config.sigma)
-    rhs = math.prod(config.variety_degrees) * divisor_cut ** 2
+    rhs = math.prod(variety.degrees) * divisor_cut ** 2
     if lhs != rhs:
         raise AdmissibilityFailure([
             f"sigma: [Sigma] = {lhs} from its degrees and multiplicities, "

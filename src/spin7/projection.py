@@ -281,12 +281,13 @@ def theta_project(chi, tolerance: float = TOLERANCE,
     phi0, Qt, Qt_phi0, S = (data["phi0"], data["Qt"], data["Qt_phi0"],
                             data["S"])
 
-    t = Qt @ (chi_vec - phi0)  # no cancellation for chi near phi0
-    residuals = [math.sqrt(t @ t)]
-    if residuals[0] <= tolerance:
-        phi, H = phi0.copy(), np.eye(8)  # no step: Phi is Phi0 itself
-    else:  # a diverging step overflows: the residual check names it
-        with np.errstate(over="ignore", invalid="ignore"):
+    # a far input or a diverging step overflows: the residual check names it
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = Qt @ (chi_vec - phi0)  # no cancellation for chi near phi0
+        residuals = [math.sqrt(t @ t)]
+        if residuals[0] <= tolerance:
+            phi, H = phi0.copy(), np.eye(8)  # no step: Phi is Phi0 itself
+        else:
             chi_tensor = _scatter(chi_vec)
             while not residuals[-1] <= tolerance:  # a NaN residual enters
                 iterations = len(residuals) - 1

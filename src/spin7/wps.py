@@ -488,7 +488,7 @@ def involution_check(ci: CompleteIntersectionDatum,
         raise ValueError("involution size does not match the space")
     reasons = [f"weights differ along the permutation: "
                f"a[{i}]={a[i]}, a[{sigma[i]}]={a[sigma[i]]}"
-               for i in range(len(a)) if a[sigma[i]] != a[i]]
+               for i in range(len(a)) if i < sigma[i] and a[sigma[i]] != a[i]]
     if reasons:
         return InvolutionCheck(False, 0, tuple(reasons))
     if _projective_involution_unit(ci.space, inv) is None:
@@ -561,11 +561,10 @@ def _fixed_locus_count(ci: CompleteIntersectionDatum, inv: InvolutionDatum,
                 "unsupported: unequal exponents on the fixed block")
         if sigma[i] == j:
             # roots [t, 1] with t^e determined; |t| = 1 for the diagonal
-            # members used here, and then every root is fixed exactly
-            # when the two phases agree
-            if inv.phase_powers[i] % 4 == inv.phase_powers[j] % 4:
-                return e[i]
-            return 0
+            # members used here, and then every root is fixed, since the
+            # two phases agree: a swapped pair whose phases differ mod 4
+            # is free, so it is not in ``support``
+            return e[i]
         # sigma fixes i and j separately: [t, 1] fixed iff
         # t^2 = eps_i / eps_j, at most 2 of the e roots; the paper's
         # configurations never need this case to succeed

@@ -155,7 +155,7 @@ def test_analyze_rejects_a_chi_v_that_the_betti_numbers_contradict(
 
     def off_by_one(weights, degrees, singular_orders=()):
         result = original(weights, degrees, singular_orders)
-        if tuple(degrees) != tuple(cfg.variety_degrees):
+        if tuple(degrees) != cfg.variety.degrees:
             return result
         return dataclasses.replace(result, chi_top=result.chi_top + 1)
 
@@ -254,10 +254,10 @@ def test_analyze_rejects_inadmissible_configurations(name, needle):
     assert needle in err or needle in out
 
 
-def _m1_mutation(mutate, tmp_path):
-    doc = json.loads((CONFIG_DIR / "m1.cfg").read_text())
+def _mutation(name, mutate, tmp_path):
+    doc = json.loads((CONFIG_DIR / f"{name}.cfg").read_text())
     mutate(doc)
-    path = tmp_path / "m1_mutated.cfg"
+    path = tmp_path / f"{name}_mutated.cfg"
     path.write_text(json.dumps(doc))
     return str(path)
 
@@ -269,26 +269,47 @@ def _with_weights_and_divisor(weights, degrees):
     return mutate
 
 
-@pytest.mark.parametrize("mutate,reason", [
-    pytest.param(lambda d: d["divisor"].__setitem__("degrees", [6]),
+@pytest.mark.parametrize("name,mutate,reason", [
+    pytest.param("m1", lambda d: d["divisor"].__setitem__("degrees", [6]),
                  "divisor degree 6 does not match the anticanonical "
                  "degree 8", id="anticanonical-mismatch"),
-    pytest.param(lambda d: d["involution"].__setitem__(
+    pytest.param("m1", lambda d: d["involution"].__setitem__(
                      "phase_powers", [0, 1, 0, 2, 0]),
                  "involution: map squared is not a projective identity",
                  id="not-projectively-involutive"),
-    pytest.param(_with_weights_and_divisor([1, 1, 1, 1, 1], [5]),
+    pytest.param("m1", _with_weights_and_divisor([1, 1, 1, 1, 1], [5]),
                  "singularities: the singular locus is empty",
                  id="empty-singular-locus"),
     # Noether's formula fails on sigma[0], not on V: the plane P(1, 1, 4)
     # cut by two linear forms keeps the order-4 point, so chi is not an
     # integer
-    pytest.param(lambda d: d["sigma"][0].__setitem__("degrees", [1, 1]),
+    pytest.param("m1",
+                 lambda d: d["sigma"][0].__setitem__("degrees", [1, 1]),
                  "sigma[0]: topological Euler characteristic 9/4 is not an "
                  "integer; singular point data is inconsistent with the "
                  "variety", id="sigma-euler-characteristic"),
+    # with every phase 0 no coordinate pair is free: the fixed locus is
+    # all of the real points
+    pytest.param("m1", lambda d: d["involution"].update(
+                     phase_powers=[0] * 5),
+                 "involution: fixed locus of the involution is "
+                 "positive-dimensional (free coordinates [0, 1, 2, 3, 4])",
+                 id="fixed-locus-positive-dimensional"),
+    pytest.param("m2", lambda d: d["involution"].update(
+                     phase_powers=[0] * 6),
+                 "involution: fixed-locus analysis unsupported for 6 free "
+                 "coordinates", id="fixed-locus-six-coordinates"),
+    # each swapped pair of unequal weights is named once
+    pytest.param("m1", lambda d: d["involution"].update(
+                     permutation=[4, 1, 2, 3, 0], phase_powers=[0] * 5),
+                 "involution: weights differ along the permutation: "
+                 "a[0]=1, a[4]=4", id="swapped-weights-differ"),
+    # D is a quasismooth 3-fold, so Lefschetz fixes its h11 at 1
+    pytest.param("m1", lambda d: d["divisor"].__setitem__("h11", 1000),
+                 "divisor: h11 = 1000 is declared, but Lefschetz gives "
+                 "h11(D) = 1", id="h11-not-lefschetz"),
     # [Sigma] = [D]^2: on m1 the degrees of Sigma must multiply to 8^2
-    *(pytest.param(lambda d, s=sigma: d.__setitem__("sigma", s),
+    *(pytest.param("m1", lambda d, s=sigma: d.__setitem__("sigma", s),
                    f"sigma: [Sigma] = {total} from its degrees and "
                    "multiplicities, but [D]^2 = 64; Sigma must be the "
                    "self-intersection of D", id=f"sigma-class-{total}")
@@ -297,11 +318,11 @@ def _with_weights_and_divisor(weights, degrees):
           ([{"degrees": [8, 8], "multiplicity": 3}], 192),
           ([{"degrees": [4, 4], "multiplicity": 1}], 16))),
 ])
-def test_analyze_rejection_paths(mutate, reason, tmp_path):
-    code, out, err = run_cli("analyze", _m1_mutation(mutate, tmp_path))
+def test_analyze_rejection_paths(name, mutate, reason, tmp_path):
+    code, out, err = run_cli("analyze", _mutation(name, mutate, tmp_path))
     assert code == cli.EXIT_MATH
     assert out == ""
-    assert err == f"configuration rejected (m1):\n  {reason}\n"
+    assert err == f"configuration rejected ({name}):\n  {reason}\n"
 
 
 def test_analyze_input_errors_exit_two(tmp_path):
@@ -363,21 +384,48 @@ def test_analyze_two_equation_variety_is_unsupported(tmp_path):
     assert err == UNSUPPORTED_V
 
 
-@pytest.mark.parametrize("mutate,needle", [
-    pytest.param(lambda d: d["divisor"].__setitem__("degrees", [4, 2, 2]),
+@pytest.mark.parametrize("name,mutate,needle", [
+    pytest.param("m1",
+                 lambda d: d["divisor"].__setitem__("degrees", [4, 2, 2]),
                  "divisor.degrees must extend", id="divisor-is-a-curve"),
-    pytest.param(lambda d: d["divisor"].__setitem__("H11", 1000),
+    pytest.param("m1", lambda d: d["divisor"].__setitem__("H11", 1000),
                  "divisor: unknown fields", id="nested-typo"),
     # a value that is not a list must not pass as no polynomials
-    *(pytest.param(lambda d, v=value: d.__setitem__("polynomials", v),
-                   "polynomials must be a list", id=f"polynomials-{name}")
-      for name, value in (("int", 5), ("null", None), ("object", {}))),
+    *(pytest.param("m1", lambda d, v=value: d.__setitem__("polynomials", v),
+                   "polynomials must be a list", id=f"polynomials-{kind}")
+      for kind, value in (("int", 5), ("null", None), ("object", {}))),
+    # the weighted space, V and the involution are validated as they load
+    pytest.param("m1", lambda d: d.__setitem__("ambient_weights",
+                                               [2, 2, 2, 2, 8]),
+                 "weights must have gcd 1", id="weights-gcd"),
+    pytest.param("m1", lambda d: d.__setitem__("ambient_weights",
+                                               [1, 1, 1, 1, 0]),
+                 "weights must be positive", id="weight-zero"),
+    pytest.param("m2", lambda d: d["variety"].__setitem__(
+                     "exponents", [8, 8, 8, 8, 2, 3]),
+                 "diagonal exponents must satisfy e_i * a_i = d",
+                 id="exponents-miss-the-degree"),
+    pytest.param("m1", lambda d: d["involution"].__setitem__(
+                     "permutation", [1, 2, 0, 3, 4]),
+                 "involution: the permutation must square to the identity",
+                 id="permutation-not-an-involution"),
 ])
-def test_analyze_schema_errors_exit_two(mutate, needle, tmp_path):
-    code, out, err = run_cli("analyze", _m1_mutation(mutate, tmp_path))
+def test_analyze_schema_errors_exit_two(name, mutate, needle, tmp_path):
+    code, out, err = run_cli("analyze", _mutation(name, mutate, tmp_path))
     assert code == cli.EXIT_INPUT
     assert out == ""
     assert err.startswith("schema error: ") and needle in err
+
+
+def test_analyze_separately_fixed_coordinates_are_unsupported(tmp_path):
+    # m2 with z4 and z5 each fixed rather than swapped
+    path = _mutation("m2", lambda d: d["involution"].__setitem__(
+        "permutation", [1, 0, 3, 2, 4, 5]), tmp_path)
+    code, out, err = run_cli("analyze", path)
+    assert code == cli.EXIT_INPUT
+    assert out == ""
+    assert err == ("unsupported input: unsupported: fixed block with two "
+                   "separately-fixed coordinates\n")
 
 
 def test_analyze_structured_format():

@@ -339,7 +339,6 @@ def test_nonlinear_remainder_is_quadratically_small():
         np.linalg.norm(eta1) + np.linalg.norm(eta2))
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_far_inputs_raise_projection_error():
     with pytest.raises(projection.ProjectionError):
         projection.theta_project(-PHI0, max_iterations=5)
@@ -441,8 +440,9 @@ def test_scatter_of_a_vector_is_the_scatter_of_its_column():
     assert np.array_equal(t, projection._scatter(v[:, None]))
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("scale", [1.0, 1e3, 1e150, 1e300])
+# past a scale of about 1e154 the first residual overflows
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [1.0, 1e3, 1e150, 1e154, 1e300])
 def test_scaled_far_inputs_raise_projection_error(scale):
     eta = np.random.default_rng(RNG_SEED).standard_normal(70)
     with pytest.raises(projection.ProjectionError):

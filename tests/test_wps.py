@@ -253,6 +253,24 @@ def test_isolated_z4_check_rejects_wrong_order():
     assert iso.k == 1 and not iso.action_ok
 
 
+def _diagonal_member(weights, degree):
+    return CompleteIntersectionDatum(WeightedSpace(weights), (degree,),
+                                     tuple(degree // a for a in weights))
+
+
+def test_isolated_z4_check_rejects_a_stratum_of_three_weights():
+    iso = wps.isolated_z4_check(_diagonal_member((1, 1, 2, 2, 2, 2), 4))
+    assert not iso.ok
+    assert iso.reasons == ("stratum (2, 3, 4, 5) meets the hypersurface in "
+                           "a positive-dimensional set",)
+
+
+def test_isolated_z4_check_on_unequal_weights_is_unsupported():
+    with pytest.raises(wps.UnsupportedError,
+                       match="stratum with unequal weights"):
+        wps.isolated_z4_check(_diagonal_member((1, 1, 1, 1, 4, 8), 8))
+
+
 # ---------------------------------------------------------------------------
 # involutions
 # ---------------------------------------------------------------------------
